@@ -20,14 +20,17 @@ test:
 
 # race runs the suite under the race detector, including the propagation
 # stress tests (committers racing Propagate cycles), the sharded
-# stitch-tearing test, and a dedicated pass over the WAL group-commit
+# stitch-tearing test, a dedicated pass over the WAL group-commit
 # leader/follower protocol (concurrent committers sharing batches, racing
-# rotation and injected failures). Crash enumeration runs with the -short
-# budget here: its full sweeps (single-domain + 2PC) are minutes-long even
-# without the race detector and have their own targets (crash-full).
+# rotation and injected failures), and one over the cross-shard commit paths
+# (read-only participants, one writer, two-phase). Crash enumeration runs
+# with the -short budget here: its full sweeps (single-domain + 2PC) are
+# minutes-long even without the race detector and have their own targets
+# (crash-full).
 race:
 	$(GO) test -race -short ./internal/crashtest
 	$(GO) test -race -run 'TestGroupCommit' -count 4 ./internal/wal
+	$(GO) test -race -run 'TestCrossShard' -count 4 ./internal/shard
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/crashtest)
 
 # bench-record stores the propagation benchmark series (Fig 10 kernels plus

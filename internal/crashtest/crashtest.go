@@ -37,6 +37,7 @@ import (
 	"h2tap/internal/csr"
 	"h2tap/internal/faultinject"
 	"h2tap/internal/graph"
+	"h2tap/internal/shard"
 	"h2tap/internal/vfs"
 )
 
@@ -76,6 +77,7 @@ type Report struct {
 type runState struct {
 	completed int
 	fps       []string
+	commits   [shard.NumCommitPaths]uint64 // sharded workload: commits per path
 }
 
 // Fingerprint renders the committed graph state as a canonical string:

@@ -14,20 +14,22 @@ import (
 
 // 2PC crash enumeration: the same crash-point methodology as the
 // single-domain harness, applied to a 3-shard cluster whose workload commits
-// cross-shard transactions through the two-phase protocol. Crashing at every
-// persist point sweeps through every stage of 2PC — per-shard prepare
-// records, the coordinator decision record, per-shard local decisions and
-// publication — plus shard WAL rotations. The core invariant is atomicity
-// ACROSS shards: the recovered cluster state must equal the golden state
-// after m whole logical transactions (m = completed, or completed+1 when the
-// in-flight transaction's outcome became durable). A recovery that kept one
+// cross-shard transactions — those that write several shards through the
+// two-phase protocol, those that write one through the single-shard path.
+// Crashing at every persist point sweeps through every stage of 2PC —
+// per-shard prepare records, the coordinator decision record, per-shard
+// local decisions and publication — plus shard WAL rotations. The core
+// invariant is atomicity ACROSS shards: the recovered cluster state must
+// equal the golden state after m whole logical transactions (m = completed,
+// or completed+1 when the in-flight transaction's outcome became durable).
+// A recovery that kept one
 // shard's half of a cross-shard transaction while dropping another's would
 // fingerprint as none of the golden states and fail the prefix check.
 
 // twopcShards is the cluster width under test: three shards means every
-// cross-shard commit writes at least two prepare records plus a coordinator
-// decision, with a third shard idle — so recovery must also leave untouched
-// shards alone.
+// multi-writer commit writes at least two prepare records plus a
+// coordinator decision, with a third shard idle — so recovery must also
+// leave untouched shards alone.
 const twopcShards = 3
 
 // ClusterFingerprint renders a sharded database's committed state as the
@@ -44,8 +46,12 @@ func ClusterFingerprint(c *shard.Cluster) string {
 
 // twopcWorkload replays the deterministic sharded scenario on fsys: six
 // transactions (five of them cross-shard), two propagation sweeps and a
-// checkpoint. Node placement hashes the allocation sequence, so IDs and
-// shard assignments are identical across runs.
+// checkpoint. Node placement hashes the allocation sequence, so IDs, shard
+// assignments and each transaction's commit path are identical across runs:
+// the node batch, the ring, the cascading delete and the back edge write
+// several shards (two-phase commit), the far edge writes only its source's
+// shard and reads the destination's (one writer), and the chord stays on
+// one shard.
 func twopcWorkload(dir string, fsys vfs.FS, st *runState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -146,18 +152,66 @@ func twopcWorkload(dir string, fsys vfs.FS, st *runState) (err error) {
 	}); err != nil {
 		return err
 	}
+	// A failed phase-two decision record is not returned by Commit — the
+	// coordinator's durable decision already made the outcome commit — it
+	// quarantines its shard instead. Surface that too.
+	if _, err := db.Health(); err != nil {
+		return err
+	}
+	for p := range st.commits {
+		st.commits[p] = db.Cluster().Commits(shard.CommitPath(p))
+	}
 	return db.Close()
 }
 
-// TwopcGoldenRun replays the sharded workload with no faults, returning the
-// persist-point count and the fingerprint after each committed transaction.
-func TwopcGoldenRun(dir string) (points int64, fps []string, err error) {
+// TwopcGolden is a fault-free run of the sharded workload.
+type TwopcGolden struct {
+	// OpPaths names the file of every persist operation, relative to the
+	// cluster directory: OpPaths[i] is operation i+1.
+	OpPaths []string
+	// Fps is the cluster fingerprint after each committed transaction
+	// (Fps[0] is the empty cluster).
+	Fps []string
+	// Commits counts the workload's transactions per commit path.
+	Commits [shard.NumCommitPaths]uint64
+}
+
+// Points is the workload's persist-point count.
+func (g *TwopcGolden) Points() int64 { return int64(len(g.OpPaths)) }
+
+// SurfacedPoints lists the persist points whose failure the workload is
+// contracted to surface as an error: WAL appends and syncs (shard logs and
+// coord.wal), delta-pool writes, and the checkpoint's temp file. A failed
+// csr.pool write is by design only recorded in
+// PropagationReport.PersistErr, and pool-sentinel and directory syncs are
+// open-time scaffolding.
+func (g *TwopcGolden) SurfacedPoints() []int64 {
+	var pts []int64
+	for i, p := range g.OpPaths {
+		base := filepath.Base(p)
+		if strings.HasSuffix(base, ".wal") || strings.HasSuffix(base, ".wal.tmp") || base == "delta.pool" {
+			pts = append(pts, int64(i+1))
+		}
+	}
+	return pts
+}
+
+// TwopcGoldenRun replays the sharded workload with no faults.
+func TwopcGoldenRun(dir string) (*TwopcGolden, error) {
 	cfs := faultinject.New(vfs.OS())
+	cfs.RecordPaths()
 	var st runState
 	if err := twopcWorkload(dir, cfs, &st); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return cfs.Ops(), st.fps, nil
+	g := &TwopcGolden{Fps: st.fps, Commits: st.commits}
+	for _, p := range cfs.OpPaths() {
+		if rel, err := filepath.Rel(dir, p); err == nil {
+			p = rel
+		}
+		g.OpPaths = append(g.OpPaths, p)
+	}
+	return g, nil
 }
 
 // TwopcRunPoint crashes the sharded workload at one persist operation,
@@ -281,18 +335,18 @@ func twopcRecoverAndCheck(dir string, golden []string, completed int) (int, erro
 // TwopcEnumerate sweeps crash points through the sharded workload for each
 // tear mode, exactly like Enumerate does for the single-domain one.
 func TwopcEnumerate(baseDir string, maxPerMode int, tears []faultinject.TearMode) (*Report, error) {
-	points, golden, err := TwopcGoldenRun(filepath.Join(baseDir, "golden"))
+	g, err := TwopcGoldenRun(filepath.Join(baseDir, "golden"))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: 2pc golden run: %w", err)
 	}
 	if len(tears) == 0 {
 		tears = []faultinject.TearMode{faultinject.TearAll, faultinject.TearHalf}
 	}
-	rep := &Report{Points: points}
+	rep := &Report{Points: g.Points()}
 	for _, tear := range tears {
-		for _, p := range samplePoints(points, maxPerMode) {
+		for _, p := range samplePoints(g.Points(), maxPerMode) {
 			dir := filepath.Join(baseDir, fmt.Sprintf("2pc-p%04d-%s", p, tear))
-			res := TwopcRunPoint(dir, p, tear, golden)
+			res := TwopcRunPoint(dir, p, tear, g.Fps)
 			rep.Results = append(rep.Results, res)
 			if res.Err != nil {
 				rep.Failures++

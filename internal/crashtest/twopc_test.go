@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"h2tap/internal/faultinject"
+	"h2tap/internal/shard"
 	"h2tap/internal/vfs"
 )
 
@@ -12,23 +13,29 @@ import (
 // shapes must land crash point N on the same persist operation — and produce
 // the same per-commit cluster fingerprints — in every run.
 func TestTwopcGoldenDeterministic(t *testing.T) {
-	p1, fps1, err := TwopcGoldenRun(t.TempDir() + "/a")
+	g1, err := TwopcGoldenRun(t.TempDir() + "/a")
 	if err != nil {
 		t.Fatalf("2pc golden run: %v", err)
 	}
-	p2, fps2, err := TwopcGoldenRun(t.TempDir() + "/b")
+	g2, err := TwopcGoldenRun(t.TempDir() + "/b")
 	if err != nil {
 		t.Fatalf("2pc golden run: %v", err)
 	}
+	p1, p2 := g1.Points(), g2.Points()
 	if p1 != p2 {
 		t.Fatalf("persist points differ across runs: %d vs %d", p1, p2)
 	}
-	if len(fps1) != len(fps2) {
-		t.Fatalf("fingerprint counts differ: %d vs %d", len(fps1), len(fps2))
+	for i := range g1.OpPaths {
+		if g1.OpPaths[i] != g2.OpPaths[i] {
+			t.Fatalf("persist op %d hits %s in one run and %s in the other", i+1, g1.OpPaths[i], g2.OpPaths[i])
+		}
 	}
-	for i := range fps1 {
-		if fps1[i] != fps2[i] {
-			t.Fatalf("fingerprint %d differs across runs:\n%s\nvs\n%s", i, fps1[i], fps2[i])
+	if len(g1.Fps) != len(g2.Fps) {
+		t.Fatalf("fingerprint counts differ: %d vs %d", len(g1.Fps), len(g2.Fps))
+	}
+	for i := range g1.Fps {
+		if g1.Fps[i] != g2.Fps[i] {
+			t.Fatalf("fingerprint %d differs across runs:\n%s\nvs\n%s", i, g1.Fps[i], g2.Fps[i])
 		}
 	}
 	// Floor: three shard WALs plus a coordinator log over six transactions
@@ -37,7 +44,18 @@ func TestTwopcGoldenDeterministic(t *testing.T) {
 	if p1 < 30 {
 		t.Fatalf("sharded workload has %d persist points, want >= 30", p1)
 	}
-	t.Logf("2pc workload: %d persist points, %d commits", p1, len(fps1)-1)
+	// Both cross-shard commit paths stay in the sweep. By placement the far
+	// edge writes only its source's shard (one writer), while the node
+	// batch, the ring, the cascading delete and the back edge write several
+	// (two-phase commit); a placement change that lost either would silently
+	// drop its persist points from the enumeration.
+	for _, p := range []shard.CommitPath{shard.CommitOneWriter, shard.CommitTwoPhase} {
+		if g1.Commits[p] == 0 {
+			t.Fatalf("golden run committed nothing through the %s path (commits by path: %v)", p, g1.Commits)
+		}
+	}
+	t.Logf("2pc workload: %d persist points (%d surfaced), %d commits, by path single/one_writer/two_phase %v",
+		p1, len(g1.SurfacedPoints()), len(g1.Fps)-1, g1.Commits)
 }
 
 // TestTwopcCrashEnumeration sweeps crashes through every persist point of
@@ -70,24 +88,28 @@ func TestTwopcCrashEnumeration(t *testing.T) {
 // TestTwopcInjectedFailureIsSurfacedNotFatal exercises the transient-error
 // path (FailAt: the persist op errors, no crash): the sharded workload must
 // surface the error — a failed prepare or coordinator append aborts the
-// transaction on every shard — and the directory must still recover.
+// transaction on every shard — and the directory must still recover. Only
+// persist points the workload is contracted to surface are sampled (see
+// SurfacedPoints).
 func TestTwopcInjectedFailureIsSurfacedNotFatal(t *testing.T) {
-	points, golden, err := TwopcGoldenRun(t.TempDir())
+	g, err := TwopcGoldenRun(t.TempDir())
 	if err != nil {
 		t.Fatalf("2pc golden run: %v", err)
 	}
-	for _, p := range samplePoints(points, 10) {
+	surfaced := g.SurfacedPoints()
+	for _, i := range samplePoints(int64(len(surfaced)), 10) {
+		p := surfaced[i-1]
 		dir := t.TempDir()
 		ffs := faultinject.New(vfs.OS())
 		ffs.FailAt(p)
 		var st runState
 		werr := twopcWorkload(dir, ffs, &st)
 		if werr == nil {
-			t.Errorf("fail at op %d: sharded workload succeeded, want surfaced error", p)
+			t.Errorf("fail at op %d (%s): sharded workload succeeded, want surfaced error", p, g.OpPaths[p-1])
 			continue
 		}
-		if m, rerr := twopcRecoverAndCheck(dir, golden, st.completed); rerr != nil {
-			t.Errorf("fail at op %d: recovery after injected error (got %d commits): %v", p, m, rerr)
+		if m, rerr := twopcRecoverAndCheck(dir, g.Fps, st.completed); rerr != nil {
+			t.Errorf("fail at op %d (%s): recovery after injected error (got %d commits): %v", p, g.OpPaths[p-1], m, rerr)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"h2tap"
 	"h2tap/internal/htap"
+	"h2tap/internal/vfs"
 )
 
 // ShardsExp is an extension measuring the sharded engine (DESIGN.md §5h):
@@ -15,7 +17,9 @@ import (
 // cross-shard commits), the fraction of transactions that crossed shards,
 // and stitched cross-shard analytics latency against the single-domain
 // baseline. Shards=1 goes through the unsharded engine — the row every
-// other row is compared to.
+// other row is compared to. Two durable rows then set the two cross-shard
+// commit paths side by side: one writer (the other shard only read) against
+// two writers (two-phase commit).
 func (c Config) ShardsExp() *Table {
 	c = c.norm()
 	t := &Table{
@@ -136,7 +140,77 @@ func (c Config) ShardsExp() *Table {
 			bfsHost, bfsSim, prHost, prSim)
 		db.Close()
 	}
-	t.Note("extension experiment (not in the paper): expected shape — cross-shard transactions pay the 2PC prepare/decide round (lower tx/s as shard count grows); stitched analytics stay within a small factor of single-domain (composite build is host-side)")
+
+	crossN := c.queries(20_000)
+	for _, twoWriters := range []bool{false, true} {
+		wall := durableCrossCommits(crossN, twoWriters)
+		label := "2 durable, 1-writer cross"
+		if twoWriters {
+			label = "2 durable, 2-writer cross"
+		}
+		t.AddRow(label, crossN, crossN, wall,
+			fmt.Sprintf("%.0f", float64(crossN)/wall.Seconds()), "-", "-", "-", "-")
+	}
+	t.Note("extension experiment (not in the paper): expected shape — transactions that write several shards pay the 2PC prepare/decide round (lower tx/s as shard count grows); stitched analytics stay within a small factor of single-domain (composite build is host-side)")
 	t.Note("%s", fmt.Sprintf("load: %d nodes, %d edges, %d ops/tx; Shards=1 is the unsharded engine", nodes, edges, txOps))
+	t.Note("durable rows: 2 shards, fsync pinned at %v, %d sequential cross-shard commits each; an edge between shards writes only its source's shard (one writer: one commit record, one flush), a property write on each shard writes two (2PC: two prepares, the coordinator decision, two local decisions)", gcFsyncLatency, crossN)
 	return t
+}
+
+// durableCrossCommits times n sequential cross-shard commits on a durable
+// two-shard cluster whose flush is pinned at gcFsyncLatency. Each commit
+// either adds an edge between nodes on different shards (it writes only the
+// source's shard) or sets a property on a node of each shard (two writers).
+func durableCrossCommits(n int, twoWriters bool) time.Duration {
+	dir, err := os.MkdirTemp("", "h2tap-shards-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	db, err := h2tap.Open(h2tap.Options{Shards: 2, PersistDir: dir, PersistPoolSize: 8 << 20,
+		SyncWAL: true, FS: vfs.SlowSync(vfs.OS(), gcFsyncLatency)})
+	if err != nil {
+		panic(err)
+	}
+	defer db.Close()
+	commit := func(fn func(tx *h2tap.ClusterTx) error) {
+		tx, err := db.BeginSharded()
+		if err == nil {
+			err = fn(tx)
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+
+	p := db.Cluster().Partitioner()
+	var byShard [2][]uint64
+	commit(func(tx *h2tap.ClusterTx) error {
+		for len(byShard[0]) < n || len(byShard[1]) < n {
+			g, err := tx.AddNode("V", nil)
+			if err != nil {
+				return err
+			}
+			byShard[p.ShardOf(g)] = append(byShard[p.ShardOf(g)], g)
+		}
+		return nil
+	})
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		a, b := byShard[0][i], byShard[1][i]
+		commit(func(tx *h2tap.ClusterTx) error {
+			if !twoWriters {
+				_, err := tx.AddRel(a, b, "e", 1)
+				return err
+			}
+			if err := tx.SetNodeProp(a, "i", h2tap.Int(int64(i))); err != nil {
+				return err
+			}
+			return tx.SetNodeProp(b, "i", h2tap.Int(int64(i)))
+		})
+	}
+	return time.Since(start)
 }

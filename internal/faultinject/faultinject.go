@@ -74,6 +74,8 @@ type FS struct {
 	tear    TearMode
 	crashed bool
 	scope   string
+	record  bool
+	paths   []string // path of each counted operation, while recording
 }
 
 // New wraps inner with fault injection. With no plan installed it only
@@ -153,6 +155,24 @@ func (f *FS) Ops() int64 {
 	return f.ops
 }
 
+// RecordPaths makes the FS remember the path of every counted operation
+// from now on (see OpPaths), so a harness can pick persist points by the
+// file they hit. Off by default: soaks count millions of operations.
+func (f *FS) RecordPaths() {
+	f.mu.Lock()
+	f.record = true
+	f.mu.Unlock()
+}
+
+// OpPaths returns the path of each operation counted while recording, in
+// sequence order (with recording on from the start, OpPaths()[i] is
+// operation i+1).
+func (f *FS) OpPaths() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.paths...)
+}
+
 // Crashed reports whether the crash point has been reached.
 func (f *FS) Crashed() bool {
 	f.mu.Lock()
@@ -184,6 +204,9 @@ func (f *FS) step(path string) verdict {
 		return vDrop
 	}
 	f.ops++
+	if f.record {
+		f.paths = append(f.paths, path)
+	}
 	if f.ops == f.failAt {
 		return vFail
 	}

@@ -216,6 +216,11 @@ func (s *Store) Begin() *Tx {
 // TS reports the transaction timestamp.
 func (tx *Tx) TS() mvto.TS { return tx.m.TS() }
 
+// ReadOnly reports whether the transaction has written nothing: every write
+// path registers a publication hook, reads register none. (The op log is no
+// test — it is only filled when a logger is registered.)
+func (tx *Tx) ReadOnly() bool { return tx.st == nil || len(tx.st.hooks) == 0 }
+
 // Commit commits the transaction: object versions are finalized and
 // unlocked, then the topology delta is captured by every registered
 // capturer — "the updates are also captured in the delta store during

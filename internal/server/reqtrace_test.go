@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,19 +31,22 @@ func fetchRequests(t *testing.T, base string) obs.ReqTrace {
 	return out
 }
 
-// findCommitTrace returns the newest finished "commit" request, preferring
-// the slow ring (the attribution target) over recent.
+// findCommitTrace returns the newest finished "commit" request retained in
+// the slow or recent ring.
 func findCommitTrace(t *testing.T, tr obs.ReqTrace) obs.ReqSnapshot {
 	t.Helper()
+	var newest *obs.ReqSnapshot
 	for _, ring := range [][]obs.ReqSnapshot{tr.Slow, tr.Recent} {
-		for i := len(ring) - 1; i >= 0; i-- {
-			if ring[i].Name == "commit" {
-				return ring[i]
+		for i := range ring {
+			if ring[i].Name == "commit" && (newest == nil || ring[i].ID > newest.ID) {
+				newest = &ring[i]
 			}
 		}
 	}
-	t.Fatalf("no commit trace retained: %+v", tr)
-	return obs.ReqSnapshot{}
+	if newest == nil {
+		t.Fatalf("no commit trace retained: %+v", tr)
+	}
+	return *newest
 }
 
 // requireSpans asserts every named span is present in the snapshot.
@@ -142,10 +146,13 @@ func TestSlowSingleNodeCommitAttribution(t *testing.T) {
 	}
 }
 
-// TestSlowCrossShardCommitAttribution does the same for a two-shard 2PC
-// commit: prepare per participant, coordinator decision, decision apply per
-// participant, each carrying the shard index, plus the WAL breakdown of the
-// underlying prepare/decision appends.
+// TestSlowCrossShardCommitAttribution covers both cross-shard commit paths.
+// Two nodes placed on both shards are a two-writer commit: a prepare per
+// writer, the coordinator decision and a decision apply per writer, each
+// carrying the shard index, plus the WAL breakdown of the underlying
+// prepare/decision appends. An edge between them writes only its source's
+// shard and reads the destination's, so it commits as a one-writer
+// transaction: no 2pc spans, no gtx, one fsync.
 func TestSlowCrossShardCommitAttribution(t *testing.T) {
 	db, err := h2tap.Open(h2tap.Options{
 		Shards:     2,
@@ -169,22 +176,17 @@ func TestSlowCrossShardCommitAttribution(t *testing.T) {
 	})
 	base := "http://" + srv.Addr()
 
-	// Two nodes place round-robin on both shards; the rel crosses them, so
-	// commit runs the full two-phase protocol.
+	// Two nodes place round-robin on both shards, so the commit writes both
+	// and runs the full two-phase protocol.
 	hc := &http.Client{Timeout: 20 * time.Second}
 	var cr commitResponse
 	status, raw := postJSON(t, hc, base+"/v1/commit",
 		`{"ops":[{"op":"add-node","label":"A"},{"op":"add-node","label":"B"}]}`, &cr)
 	if status != 200 {
-		t.Fatalf("cross-shard commit = %d: %s", status, raw)
+		t.Fatalf("two-writer commit = %d: %s", status, raw)
 	}
 	if len(cr.Results) != 2 || cr.Results[0].Node == nil || cr.Results[1].Node == nil {
 		t.Fatalf("results = %+v", cr.Results)
-	}
-	status, raw = postJSON(t, hc, base+"/v1/commit",
-		`{"ops":[{"op":"add-rel","src":`+uitoa(*cr.Results[0].Node)+`,"dst":`+uitoa(*cr.Results[1].Node)+`,"label":"x"}]}`, nil)
-	if status != 200 {
-		t.Fatalf("rel commit = %d: %s", status, raw)
 	}
 
 	snap := findCommitTrace(t, fetchRequests(t, base))
@@ -230,6 +232,43 @@ func TestSlowCrossShardCommitAttribution(t *testing.T) {
 	}
 	if snap.Dominant != "2pc" {
 		t.Errorf("dominant phase = %q, want 2pc", snap.Dominant)
+	}
+
+	// The edge lives with its source; the destination's shard is only read.
+	status, raw = postJSON(t, hc, base+"/v1/commit",
+		`{"ops":[{"op":"add-rel","src":`+uitoa(*cr.Results[0].Node)+`,"dst":`+uitoa(*cr.Results[1].Node)+`,"label":"x"}]}`, nil)
+	if status != 200 {
+		t.Fatalf("one-writer commit = %d: %s", status, raw)
+	}
+	snap = findCommitTrace(t, fetchRequests(t, base))
+	requireSpans(t, snap,
+		"admission.deadline", "admission.ratelimit", "admission.semaphore",
+		"mvto.begin", "engine.apply", "commit.gate",
+		"wal.enqueue", "wal.write", "wal.fsync", "wal.ack",
+		"delta.capture", "mvto.publish")
+	fsyncs := 0
+	for _, sp := range snap.Spans {
+		if strings.HasPrefix(sp.Name, "2pc.") {
+			t.Errorf("one-writer commit recorded span %q", sp.Name)
+		}
+		if sp.Name == "wal.fsync" {
+			fsyncs++
+		}
+	}
+	if fsyncs != 1 {
+		t.Errorf("one-writer commit: %d wal.fsync spans, want 1", fsyncs)
+	}
+	for _, a := range snap.Args {
+		if a.Key == "gtx" {
+			t.Errorf("one-writer commit carries gtx %s", a.Value)
+		}
+	}
+	if cov := spanCoverage(snap); cov < 0.95 {
+		t.Errorf("one-writer span coverage %.1f%% of %.1fms wall, want >= 95%%\nspans: %+v",
+			cov*100, snap.WallMs, snap.Spans)
+	}
+	if snap.Dominant != "wal-fsync" {
+		t.Errorf("one-writer dominant phase = %q, want wal-fsync", snap.Dominant)
 	}
 }
 

@@ -114,6 +114,8 @@ type Cluster struct {
 
 	epoch atomic.Uint64 // successful stitches (the composite-view epoch)
 
+	commits [NumCommitPaths]atomic.Uint64 // committed transactions per CommitPath
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -332,8 +334,8 @@ func (c *Cluster) reconcileHeuristicAborts(decisions *wal.DecisionSet) {
 
 // CoordErr reports the coordinator decision log's sticky failure, wrapped
 // in ErrCoordinatorDown (nil while healthy or volatile). A latched
-// coordinator fails only cross-shard commits; single-shard traffic and
-// analytics are unaffected.
+// coordinator fails only commits that wrote two or more shards; commits
+// with one writer and analytics are unaffected.
 func (c *Cluster) CoordErr() error {
 	c.coordMu.RLock()
 	defer c.coordMu.RUnlock()
@@ -575,6 +577,9 @@ func (c *Cluster) Healths() []HealthState {
 
 // Epoch reports the number of consistent composite views stitched so far.
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
+
+// Commits counts the cluster transactions committed through path p.
+func (c *Cluster) Commits(p CommitPath) uint64 { return c.commits[p].Load() }
 
 // CrossTxLive reports the cross-shard transactions the stitcher is currently
 // tracking (in-flight plus committed-but-not-yet-pruned).

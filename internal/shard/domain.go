@@ -197,6 +197,20 @@ func (g domainGuard) LogCommit(mvto.TS, []graph.LoggedOp) error {
 }
 
 func (d *Domain) guardErr(core *domainCore) error {
+	if err := d.liveErr(core); err != nil {
+		return err
+	}
+	if e := d.engine.Load(); e != nil && e.Backpressure() {
+		return htap.ErrBackpressure
+	}
+	return nil
+}
+
+// liveErr is the part of the commit guard a read-only participant's vote
+// runs too: the shard is not quarantined, still runs core, and its
+// persistent delta store has not latched a write failure. Backpressure is
+// left out — a read appends nothing.
+func (d *Domain) liveErr(core *domainCore) error {
 	if d.isDown() || d.core.Load() != core {
 		return d.downErr()
 	}
@@ -204,9 +218,6 @@ func (d *Domain) guardErr(core *domainCore) error {
 		err = fmt.Errorf("shard %d: persistent delta store failed: %w", d.Index, err)
 		d.quarantine(err)
 		return err
-	}
-	if e := d.engine.Load(); e != nil && e.Backpressure() {
-		return htap.ErrBackpressure
 	}
 	return nil
 }

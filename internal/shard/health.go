@@ -61,9 +61,9 @@ func (e *ShardDownError) Unwrap() error { return e.Cause }
 // detail.
 func (e *ShardDownError) Is(target error) bool { return target == ErrShardDown }
 
-// ErrCoordinatorDown reports a cross-shard commit refused because the
-// coordinator decision log has latched a failure. Single-shard commits are
-// unaffected; Cluster.RecoverCoordinator reopens the log.
+// ErrCoordinatorDown reports a commit that wrote two or more shards refused
+// because the coordinator decision log has latched a failure. Commits with
+// one writer are unaffected; Cluster.RecoverCoordinator reopens the log.
 var ErrCoordinatorDown = errors.New("shard: coordinator log down")
 
 // ErrShardNotDown reports RecoverShard on a shard that is not quarantined.

@@ -2,9 +2,10 @@
 // domains: each shard owns its own main-graph store, timestamp oracle,
 // DELTA_FE delta store, cost model and simulated GPU replica, propagating on
 // an independent cadence through the existing failure-atomic stage/commit
-// machinery. Single-shard transactions run entirely inside one domain;
-// cross-shard transactions go through a two-phase commit coordinator layered
-// on the per-shard write-ahead logs plus a coordinator decision log.
+// machinery. A transaction that writes one shard commits entirely inside
+// that domain (shards it only read drop out); one that writes several goes
+// through a two-phase commit coordinator layered on the per-shard
+// write-ahead logs plus a coordinator decision log.
 // Cross-shard analytics stitch the per-shard replicas behind a watermark
 // barrier so the composite view is always a consistent committed prefix
 // (DESIGN.md §5h).

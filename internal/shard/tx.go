@@ -16,9 +16,10 @@ import (
 // sub-transaction per touched shard and routes every operation to the owner
 // domain via the partitioner's global↔local ID mapping. Opening against a
 // Down shard is refused with a ShardDownError — one quarantined shard sheds
-// exactly the traffic that touches it. Commit uses the single-shard fast
-// path (today's exact commit sequence, one shard touched) or two-phase
-// commit (several shards). A Tx is used by one goroutine.
+// exactly the traffic that touches it. Only the shards a transaction wrote
+// take part in its commit: read-only participants drop out, one writer
+// commits through the single-shard path and two or more run two-phase
+// commit (see Commit). A Tx is used by one goroutine.
 type Tx struct {
 	c     *Cluster
 	subs  map[int]*subTx
@@ -299,31 +300,57 @@ func shedOrRaw(d *Domain, err error) error {
 	return err
 }
 
-// Commit commits the transaction.
+// CommitPath is the way a cluster transaction committed (see Tx.Commit).
+type CommitPath int
+
+const (
+	// CommitSingle: the transaction touched one shard.
+	CommitSingle CommitPath = iota
+	// CommitOneWriter: it touched several shards and wrote at most one; the
+	// readers dropped out and the writer committed as a single-shard
+	// transaction.
+	CommitOneWriter
+	// CommitTwoPhase: it wrote two or more shards, which ran two-phase
+	// commit.
+	CommitTwoPhase
+	// NumCommitPaths is the number of commit paths.
+	NumCommitPaths
+)
+
+// String is the path's metric label.
+func (p CommitPath) String() string {
+	switch p {
+	case CommitOneWriter:
+		return "one_writer"
+	case CommitTwoPhase:
+		return "two_phase"
+	default:
+		return "single"
+	}
+}
+
+// Commit commits the transaction. Only the shards it wrote take part in the
+// commit protocol: R*'s read-only and single-writer optimisations (Mohan,
+// Lindsay & Obermarck, "Transaction Management in the R* Distributed
+// Database Management System", TODS 1986).
 //
-// One participant: the sub-transaction commits exactly as a single-shard
-// transaction does today (commit gate → WAL commit record → delta capture →
-// MVTO publish); no coordinator state is touched.
+// Read-only participants vote first. Each checks that its shard is not Down
+// and still runs the core the transaction read (a read appends nothing, so
+// backpressure does not apply), then commits locally, which writes nothing:
+// no prepare or decision record, no commit gate held while other shards
+// flush, no registry entry. Committing a reader early is safe under MVTO: a
+// read's timestamp mark is set when the read happens, and write checks
+// compare timestamps without looking at the reader's status, so an
+// early-committed reader and one held prepared look the same to every other
+// transaction. A failed vote aborts every sub-transaction before any record
+// is written.
 //
-// Several participants: two-phase commit. Phase one prepares every
-// participant in ascending shard order — commit gate acquired and a prepare
-// record (local timestamp + operations) appended to the shard WAL, synced
-// per the cluster's sync policy. The transaction is then registered with the
-// stitcher's cross-transaction registry. The commit point is the decision
-// record appended to the coordinator log; after it, phase two appends a
-// local decision record to each participant WAL and publishes (delta capture
-// + MVTO commit), releasing the gates.
+// One writer: its sub-transaction commits exactly as a single-shard
+// transaction does (commit gate → WAL commit record → delta capture → MVTO
+// publish). That commit record is the commit point; no coordinator state is
+// touched, so a latched coordinator does not refuse it.
 //
-// Participant failure: a prepare that fails — the shard was already Down,
-// or the prepare append latched its WAL — aborts every participant
-// (presumed abort: without a coordinator decision, recovery resolves the
-// prepares to abort) and quarantines the failing shard if the failure was a
-// persist error. A coordinator append failure likewise aborts (and latches
-// only cross-shard commits; see CoordErr). After the coordinator's decision
-// is durable the outcome is commit, unconditionally: a phase-two failure
-// quarantines the failing shard but does not surface an error, because the
-// prepare record plus the coordinator decision guarantee the transaction
-// survives that shard's recovery.
+// Two or more writers: two-phase commit among the writers (twoPhase).
 func (t *Tx) Commit() error {
 	if t.done {
 		return ErrTxDone
@@ -331,25 +358,82 @@ func (t *Tx) Commit() error {
 	t.done = true
 
 	parts := t.Participants()
-	switch len(parts) {
-	case 0:
+	if len(parts) == 0 {
 		return nil
+	}
+	var writers []int
+	for _, sidx := range parts {
+		s := t.subs[sidx]
+		if !s.tx.ReadOnly() {
+			writers = append(writers, sidx)
+			continue
+		}
+		err := s.d.liveErr(s.core)
+		if err == nil {
+			err = s.tx.Commit()
+		}
+		if err != nil {
+			t.abortSubs()
+			return shedOrRaw(s.d, err)
+		}
+	}
+
+	path := CommitSingle
+	if len(parts) > 1 {
+		path = CommitOneWriter
+	}
+	switch len(writers) {
+	case 0:
 	case 1:
-		s := t.subs[parts[0]]
+		s := t.subs[writers[0]]
 		if err := s.tx.Commit(); err != nil {
 			return shedOrRaw(s.d, err)
 		}
-		return nil
+	default:
+		if err := t.twoPhase(writers); err != nil {
+			return err
+		}
+		path = CommitTwoPhase
 	}
+	t.c.commits[path].Add(1)
+	return nil
+}
 
+// abortSubs rolls back every sub-transaction still open; finished ones
+// report ErrTxnDone, which is ignored.
+func (t *Tx) abortSubs() {
+	for _, s := range t.subs {
+		s.tx.Abort() //nolint:errcheck
+	}
+}
+
+// twoPhase commits a transaction that wrote the shards in parts (two or
+// more, ascending). Phase one prepares every writer in ascending shard
+// order — commit gate acquired and a prepare record (local timestamp +
+// operations) appended to the shard WAL, synced per the cluster's sync
+// policy. The transaction is then registered with the stitcher's
+// cross-transaction registry. The commit point is the decision record
+// appended to the coordinator log; after it, phase two appends a local
+// decision record to each writer's WAL and publishes (delta capture + MVTO
+// commit), releasing the gates.
+//
+// Participant failure: a prepare that fails — the shard was already Down,
+// or the prepare append latched its WAL — aborts every participant
+// (presumed abort: without a coordinator decision, recovery resolves the
+// prepares to abort) and quarantines the failing shard if the failure was a
+// persist error. A coordinator append failure likewise aborts (and latches
+// only commits with two or more writers; see CoordErr). After the
+// coordinator's decision is durable the outcome is commit, unconditionally:
+// a phase-two failure quarantines the failing shard but does not surface an
+// error, because the prepare record plus the coordinator decision guarantee
+// the transaction survives that shard's recovery.
+func (t *Tx) twoPhase(parts []int) error {
 	c := t.c
 
 	// A latched coordinator cannot durably decide: fail fast before taking
 	// any commit gate.
 	if err := c.CoordErr(); err != nil {
-		for _, s := range t.subs {
-			s.tx.Abort()
-		}
+		t.abortSubs()
 		return err
 	}
 

@@ -45,8 +45,9 @@ var (
 	// ErrShardDown matches any shed write via errors.Is; errors.As a
 	// *ShardDownError extracts the shard index and cause.
 	ErrShardDown = shard.ErrShardDown
-	// ErrCoordinatorDown reports cross-shard commits refused because the
-	// 2PC coordinator log latched a failure (single-shard traffic serves).
+	// ErrCoordinatorDown reports commits that wrote two or more shards
+	// refused because the 2PC coordinator log latched a failure (commits
+	// with one writer serve).
 	ErrCoordinatorDown = shard.ErrCoordinatorDown
 )
 
@@ -84,8 +85,9 @@ func openSharded(opts Options) (*DB, error) {
 // wireShardObs registers the per-shard fault-domain metric families on the
 // shared observer registry: health as a gauge (0 healthy, 1 degraded,
 // 2 down) and completed online recoveries as a counter, one series per
-// shard. Engine-level families are not wired per shard yet; the fault
-// surface is what /healthz and alerting need first.
+// shard, plus committed cluster transactions per commit path. Engine-level
+// families are not wired per shard yet; the fault surface is what /healthz
+// and alerting need first.
 func (db *DB) wireShardObs() {
 	o := db.opts.Observer
 	if o == nil || db.cluster == nil {
@@ -103,6 +105,12 @@ func (db *DB) wireShardObs() {
 		o.Reg.CounterFunc("h2tap_shard_recoveries_total",
 			"Completed online shard recoveries (RecoverShard).",
 			func() float64 { return float64(d.Recoveries()) }, lbl)
+	}
+	c := db.cluster
+	for p := shard.CommitPath(0); p < shard.NumCommitPaths; p++ {
+		o.Reg.CounterFunc("h2tap_shard_commits_total",
+			"Committed cluster transactions by commit path: single (one shard touched), one_writer (at most one shard written), two_phase (two or more written).",
+			func() float64 { return float64(c.Commits(p)) }, obs.L("path", p.String()))
 	}
 }
 
