@@ -22,15 +22,18 @@ test:
 # stress tests (committers racing Propagate cycles), the sharded
 # stitch-tearing test, a dedicated pass over the WAL group-commit
 # leader/follower protocol (concurrent committers sharing batches, racing
-# rotation and injected failures), and one over the cross-shard commit paths
-# (read-only participants, one writer, two-phase). Crash enumeration runs
-# with the -short budget here: its full sweeps (single-domain + 2PC) are
-# minutes-long even without the race detector and have their own targets
-# (crash-full).
+# rotation and injected failures), one over the cross-shard commit paths
+# (read-only participants, one writer, two-phase), and repeated propagation
+# stress (committers and an analyst racing propagation cycles on every
+# replica kind: the replica lock must cover every kernel read). Crash
+# enumeration runs with the -short budget here: its full sweeps
+# (single-domain + 2PC) are minutes-long even without the race detector and
+# have their own targets (crash-full).
 race:
 	$(GO) test -race -short ./internal/crashtest
 	$(GO) test -race -run 'TestGroupCommit' -count 4 ./internal/wal
 	$(GO) test -race -run 'TestCrossShard' -count 4 ./internal/shard
+	$(GO) test -race -run 'TestEnginePropagateRaceStress' -count 4 ./internal/htap
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/crashtest)
 
 # bench-record stores the propagation benchmark series (Fig 10 kernels plus
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCommit -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzCombineReplay -fuzztime $(FUZZTIME) ./internal/delta
 	$(GO) test -run '^$$' -fuzz FuzzMerge -fuzztime $(FUZZTIME) ./internal/csr
+	$(GO) test -run '^$$' -fuzz FuzzApplyBatch -fuzztime $(FUZZTIME) ./internal/dyngraph
 	$(GO) test -run '^$$' -fuzz FuzzScanGrouping -fuzztime $(FUZZTIME) ./internal/deltastore
 
 # obs-smoke boots the bench with the -obs HTTP listener and curls /metrics,

@@ -24,10 +24,10 @@ import (
 type Graph interface {
 	// NumVertexSlots reports the vertex ID space (absent slots allowed).
 	NumVertexSlots() int
-	// Degree reports the out-degree of u.
-	Degree(u uint64) int
-	// ForEachNeighbor visits u's out-edges until fn returns false.
-	ForEachNeighbor(u uint64, fn func(dst uint64, w float64) bool)
+	// Row returns u's out-edges: destinations in ascending order and their
+	// weights. An absent or out-of-range vertex has nil rows. The slices
+	// are read-only and valid while the view is (the replica pinned).
+	Row(u uint64) (dst []uint64, w []float64)
 }
 
 // CSRGraph adapts a csr.CSR to the Graph interface.
@@ -36,18 +36,8 @@ type CSRGraph struct{ C *csr.CSR }
 // NumVertexSlots implements Graph.
 func (g CSRGraph) NumVertexSlots() int { return g.C.NumNodes() }
 
-// Degree implements Graph.
-func (g CSRGraph) Degree(u uint64) int { return g.C.Degree(u) }
-
-// ForEachNeighbor implements Graph.
-func (g CSRGraph) ForEachNeighbor(u uint64, fn func(dst uint64, w float64) bool) {
-	col, val := g.C.Row(u)
-	for i := range col {
-		if !fn(col[i], val[i]) {
-			return
-		}
-	}
-}
+// Row implements Graph.
+func (g CSRGraph) Row(u uint64) ([]uint64, []float64) { return g.C.Row(u) }
 
 // WorkStats reports the work a kernel performed, in the units its device
 // cost model is calibrated in (traversed/relaxed edges).
@@ -67,11 +57,12 @@ func workers() int {
 	return w
 }
 
-// parallelFor splits [0, n) across workers.
-func parallelFor(n int, fn func(lo, hi int)) {
+// parallelFor splits [0, n) across workers, passing each range its worker
+// index (below workers()). Ranges under 1024 run inline as worker 0.
+func parallelFor(n int, fn func(wi, lo, hi int)) {
 	w := workers()
 	if n < 1024 || w == 1 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	chunk := (n + w - 1) / w
@@ -82,16 +73,27 @@ func parallelFor(n int, fn func(lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(wi, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(wi, lo, hi)
+		}(lo/chunk, lo, hi)
 	}
 	wg.Wait()
 }
 
+// bfsBuffers are one BFS run's frontier buffers: the current and next
+// frontier and each worker's share of the next. Runs recycle them through
+// bfsPool, so a run's garbage is little more than its result.
+type bfsBuffers struct {
+	frontier, next []uint64
+	parts          [][]uint64
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsBuffers) }}
+
 // BFS computes breadth-first levels from src. Level-synchronous with a
-// shared frontier, the standard GPU formulation.
+// shared frontier, the standard GPU formulation: a vertex is claimed by
+// the CAS that sets its level.
 func BFS(g Graph, src uint64) ([]int32, WorkStats) {
 	n := g.NumVertexSlots()
 	levels := make([]int32, n)
@@ -101,53 +103,44 @@ func BFS(g Graph, src uint64) ([]int32, WorkStats) {
 	if int(src) >= n {
 		return levels, WorkStats{}
 	}
-	claimed := make([]atomic.Bool, n)
 	levels[src] = 0
-	claimed[src].Store(true)
 
-	frontier := []uint64{src}
 	var st WorkStats
+	buf := bfsPool.Get().(*bfsBuffers)
+	defer bfsPool.Put(buf)
+	if w := workers(); len(buf.parts) != w {
+		buf.parts = make([][]uint64, w)
+	}
+	parts := buf.parts
+	edges := make([]int64, len(parts))
+	frontier, next := append(buf.frontier[:0], src), buf.next
+	defer func() { buf.frontier, buf.next = frontier, next }()
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		st.Iterations++
-		next := make([][]uint64, workers())
-		var edges atomic.Int64
-		var wg sync.WaitGroup
-		chunk := (len(frontier) + workers() - 1) / workers()
-		if chunk == 0 {
-			chunk = 1
+		for wi := range parts {
+			parts[wi], edges[wi] = parts[wi][:0], 0
 		}
-		wi := 0
-		for lo := 0; lo < len(frontier); lo += chunk {
-			hi := lo + chunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			wg.Add(1)
-			go func(wi int, part []uint64) {
-				defer wg.Done()
-				var local []uint64
-				var traversed int64
-				for _, u := range part {
-					g.ForEachNeighbor(u, func(v uint64, _ float64) bool {
-						traversed++
-						if !claimed[v].Load() && claimed[v].CompareAndSwap(false, true) {
-							levels[v] = depth
-							local = append(local, v)
-						}
-						return true
-					})
+		parallelFor(len(frontier), func(wi, lo, hi int) {
+			local := parts[wi]
+			var traversed int64
+			for _, u := range frontier[lo:hi] {
+				dst, _ := g.Row(u)
+				traversed += int64(len(dst))
+				for _, v := range dst {
+					if atomic.LoadInt32(&levels[v]) == Unreachable &&
+						atomic.CompareAndSwapInt32(&levels[v], Unreachable, depth) {
+						local = append(local, v)
+					}
 				}
-				next[wi] = local
-				edges.Add(traversed)
-			}(wi, frontier[lo:hi])
-			wi++
+			}
+			parts[wi], edges[wi] = local, traversed
+		})
+		next = next[:0]
+		for wi := range parts {
+			st.Edges += float64(edges[wi])
+			next = append(next, parts[wi]...)
 		}
-		wg.Wait()
-		st.Edges += float64(edges.Load())
-		frontier = frontier[:0]
-		for _, part := range next {
-			frontier = append(frontier, part...)
-		}
+		frontier, next = next, frontier
 	}
 	return levels, st
 }
@@ -174,27 +167,26 @@ func PageRank(g Graph, iters int, damping float64) ([]float64, WorkStats) {
 		var danglingMu sync.Mutex
 		var danglingSum float64
 
-		parallelFor(n, func(lo, hi int) {
+		parallelFor(n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				nextBits[i].Store(0)
 			}
 		})
 		var edges atomic.Int64
-		parallelFor(n, func(lo, hi int) {
+		parallelFor(n, func(_, lo, hi int) {
 			var localDangling float64
 			var traversed int64
 			for u := lo; u < hi; u++ {
-				deg := g.Degree(uint64(u))
-				if deg == 0 {
+				dst, _ := g.Row(uint64(u))
+				if len(dst) == 0 {
 					localDangling += rank[u]
 					continue
 				}
-				share := damping * rank[u] / float64(deg)
-				g.ForEachNeighbor(uint64(u), func(v uint64, _ float64) bool {
-					traversed++
+				share := damping * rank[u] / float64(len(dst))
+				traversed += int64(len(dst))
+				for _, v := range dst {
 					atomicAddFloat(&nextBits[v], share)
-					return true
-				})
+				}
 			}
 			danglingMu.Lock()
 			danglingSum += localDangling
@@ -203,7 +195,7 @@ func PageRank(g Graph, iters int, damping float64) ([]float64, WorkStats) {
 		})
 		st.Edges += float64(edges.Load())
 		redistribute := damping * danglingSum / float64(n)
-		parallelFor(n, func(lo, hi int) {
+		parallelFor(n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				rank[i] = base + redistribute + math.Float64frombits(nextBits[i].Load())
 			}
@@ -261,12 +253,15 @@ func SSSP(g Graph, src uint64) ([]float64, WorkStats) {
 				defer wg.Done()
 				var local []uint64
 				var relaxed int64
+			relax:
 				for _, u := range part {
 					du := math.Float64frombits(distBits[u].Load())
-					g.ForEachNeighbor(u, func(v uint64, w float64) bool {
+					dst, ws := g.Row(u)
+					for i, v := range dst {
+						w := ws[i]
 						if w < 0 {
 							negEdge.Store(int64(u)<<32 | int64(v) + 1)
-							return false
+							break relax
 						}
 						relaxed++
 						cand := du + w
@@ -285,8 +280,7 @@ func SSSP(g Graph, src uint64) ([]float64, WorkStats) {
 								break
 							}
 						}
-						return true
-					})
+					}
 				}
 				next[wi] = local
 				edges.Add(relaxed)
@@ -338,8 +332,9 @@ func WCC(g Graph) ([]uint64, WorkStats) {
 	var st WorkStats
 	st.Iterations = 1
 	for u := 0; u < n; u++ {
-		g.ForEachNeighbor(uint64(u), func(v uint64, _ float64) bool {
-			st.Edges++
+		dst, _ := g.Row(uint64(u))
+		st.Edges += float64(len(dst))
+		for _, v := range dst {
 			ru, rv := find(uint64(u)), find(v)
 			if ru != rv {
 				if ru < rv {
@@ -348,8 +343,7 @@ func WCC(g Graph) ([]uint64, WorkStats) {
 					parent[ru] = rv
 				}
 			}
-			return true
-		})
+		}
 	}
 	comp := make([]uint64, n)
 	for i := range comp {

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"h2tap/internal/csr"
+	"h2tap/internal/delta"
 	"h2tap/internal/dyngraph"
+	"h2tap/internal/sortledton"
 )
 
 // chain: 0→1→2→3, plus 4 isolated.
@@ -154,40 +156,114 @@ func randomCSR(seed int64, n, avgDeg int) *csr.CSR {
 	return c
 }
 
-// The same graph served by CSR and by the dynamic structure must give
-// identical analytics results (neighbor iteration order may differ, results
-// may not).
-func TestKernelsAgreeAcrossStructures(t *testing.T) {
-	c := randomCSR(11, 300, 4)
+// view is one structure serving a graph to the kernels.
+type view struct {
+	name string
+	g    Graph
+}
+
+// replicaViews serves one random graph from every structure after a few
+// random propagation batches have gone through each: the CSR through
+// csr.Merge (Algorithm 2), the dynamic replica through Algorithm 1 and
+// Sortledton through its own updates. The first view is the CSR.
+func replicaViews(seed int64, n, avgDeg int) []view {
+	c := randomCSR(seed, n, avgDeg)
 	dg := dyngraph.FromCSR(c)
-
-	l1, _ := BFS(CSRGraph{c}, 0)
-	l2, _ := BFS(dg, 0)
-	if !reflect.DeepEqual(l1, l2) {
-		t.Fatal("BFS differs between CSR and dynamic structure")
+	sl := sortledton.FromCSR(c)
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < 4; i++ {
+		batch := randomBatch(r, uint64(c.NumNodes()))
+		c, _ = csr.Merge(c, batch)
+		dg.ApplyBatch(batch)
+		sl.ApplyBatch(batch)
 	}
+	return []view{{"csr", CSRGraph{c}}, {"dyngraph", dg}, {"sortledton", sl}}
+}
 
-	d1, _ := SSSP(CSRGraph{c}, 0)
-	d2, _ := SSSP(dg, 0)
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("SSSP differs at %d: %v vs %v", i, d1[i], d2[i])
+// randomBatch builds a node-sorted batch over oldN existing nodes the way a
+// delta store scan produces it: edge inserts (some overwriting), edge
+// deletes (some of missing edges) and node deletes on existing nodes, plus
+// new nodes beyond the range with ID gaps between them, one of them
+// inserted and deleted within the window.
+func randomBatch(r *rand.Rand, oldN uint64) *delta.Batch {
+	var nodes []uint64
+	for u := uint64(0); u < oldN; u++ {
+		if r.Intn(8) == 0 {
+			nodes = append(nodes, u)
 		}
 	}
-
-	r1, _ := PageRank(CSRGraph{c}, 5, 0.85)
-	r2, _ := PageRank(dg, 5, 0.85)
-	for i := range r1 {
-		if math.Abs(r1[i]-r2[i]) > 1e-12 {
-			t.Fatalf("PageRank differs at %d: %v vs %v", i, r1[i], r2[i])
+	newN := oldN
+	for k := 0; k < 3; k++ {
+		newN += uint64(r.Intn(3)) + 1
+		nodes = append(nodes, newN-1)
+	}
+	b := &delta.Batch{}
+	for _, u := range nodes {
+		d := delta.Combined{Node: u, Inserted: u >= oldN}
+		if r.Intn(10) == 0 || u == newN-1 {
+			d.Inserted, d.Deleted = false, true
+			b.Deltas = append(b.Deltas, d)
+			continue
+		}
+		picked := map[uint64]bool{}
+		for k := r.Intn(5); k > 0; k-- {
+			picked[uint64(r.Intn(int(newN)))] = true
+		}
+		for v := uint64(0); v < newN; v++ {
+			switch {
+			case !picked[v]:
+			case u < oldN && r.Intn(3) == 0:
+				d.Del = append(d.Del, v)
+			default:
+				d.Ins = append(d.Ins, delta.Edge{Dst: v, W: float64(r.Intn(9) + 1)})
+			}
+		}
+		if !d.Empty() {
+			b.Deltas = append(b.Deltas, d)
 		}
 	}
+	return b
+}
 
-	c1, _ := WCC(CSRGraph{c})
-	c2, _ := WCC(dg)
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatal("WCC differs between CSR and dynamic structure")
+// agreeAcrossViews runs each kernel on every view and requires the CSR's
+// result from the others: identical outputs (PageRank within 1e-12, its
+// float sums being order-dependent) and identical traversed-edge work.
+func agreeAcrossViews(t *testing.T, views []view, kinds ...string) {
+	t.Helper()
+	for _, kind := range kinds {
+		want, err := Run(views[0].g, kind, 0, 5, 0.85)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range views[1:] {
+			got, err := Run(v.g, kind, 0, 5, 0.85)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Work.Edges != want.Work.Edges {
+				t.Errorf("%s on %s: %v edges, csr %v", kind, v.name, got.Work.Edges, want.Work.Edges)
+			}
+			if len(got.Ranks) != len(want.Ranks) {
+				t.Fatalf("%s on %s: %d ranks, csr %d", kind, v.name, len(got.Ranks), len(want.Ranks))
+			}
+			for i := range want.Ranks {
+				if math.Abs(got.Ranks[i]-want.Ranks[i]) > 1e-12 {
+					t.Fatalf("%s on %s differs at %d: %v vs %v", kind, v.name, i, got.Ranks[i], want.Ranks[i])
+				}
+			}
+			w := want
+			got.Ranks, w.Ranks, got.Work, w.Work = nil, nil, WorkStats{}, WorkStats{}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s differs between %s and csr", kind, v.name)
+			}
+		}
 	}
+}
+
+// The same graph served by every structure must give identical analytics
+// results.
+func TestKernelsAgreeAcrossStructures(t *testing.T) {
+	agreeAcrossViews(t, replicaViews(11, 300, 4), "bfs", "sssp", "pagerank", "wcc")
 }
 
 // Property checks on random graphs.
@@ -204,13 +280,13 @@ func TestBFSInvariants(t *testing.T) {
 			if levels[u] == Unreachable {
 				continue
 			}
-			g.ForEachNeighbor(uint64(u), func(v uint64, _ float64) bool {
+			dst, _ := g.Row(uint64(u))
+			for _, v := range dst {
 				if levels[v] == Unreachable || levels[v] > levels[u]+1 {
 					t.Fatalf("seed %d: BFS level invariant broken on %d→%d (%d, %d)",
 						seed, u, v, levels[u], levels[v])
 				}
-				return true
-			})
+			}
 		}
 	}
 }
@@ -228,12 +304,12 @@ func TestSSSPInvariants(t *testing.T) {
 			if math.IsInf(dist[u], 1) {
 				continue
 			}
-			g.ForEachNeighbor(uint64(u), func(v uint64, w float64) bool {
-				if dist[v] > dist[u]+w+1e-9 {
+			dst, ws := g.Row(uint64(u))
+			for i, v := range dst {
+				if dist[v] > dist[u]+ws[i]+1e-9 {
 					t.Fatalf("seed %d: SSSP not settled on %d→%d", seed, u, v)
 				}
-				return true
-			})
+			}
 		}
 		// Consistency with BFS reachability.
 		levels, _ := BFS(g, 0)

@@ -24,20 +24,20 @@ func CDLP(g Graph, iters int) ([]uint64, WorkStats) {
 	for it := 0; it < iters; it++ {
 		st.Iterations++
 		var edges atomic.Int64
-		parallelFor(n, func(lo, hi int) {
+		parallelFor(n, func(_, lo, hi int) {
 			counts := make(map[uint64]int)
 			var traversed int64
 			for u := lo; u < hi; u++ {
-				if g.Degree(uint64(u)) == 0 {
+				dst, _ := g.Row(uint64(u))
+				if len(dst) == 0 {
 					next[u] = labels[u]
 					continue
 				}
 				clear(counts)
-				g.ForEachNeighbor(uint64(u), func(v uint64, _ float64) bool {
-					traversed++
+				traversed += int64(len(dst))
+				for _, v := range dst {
 					counts[labels[v]]++
-					return true
-				})
+				}
 				best, bestCount := labels[u], 0
 				for lbl, c := range counts {
 					if c > bestCount || (c == bestCount && lbl < best) {
@@ -65,25 +65,6 @@ func LCC(g Graph) ([]float64, WorkStats) {
 	n := g.NumVertexSlots()
 	coef := make([]float64, n)
 
-	// Materialize sorted neighbor lists once so edge-existence probes are
-	// binary searches regardless of the backing structure.
-	adj := make([][]uint64, n)
-	parallelFor(n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			d := g.Degree(uint64(u))
-			if d == 0 {
-				continue
-			}
-			nbrs := make([]uint64, 0, d)
-			g.ForEachNeighbor(uint64(u), func(v uint64, _ float64) bool {
-				nbrs = append(nbrs, v)
-				return true
-			})
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-			adj[u] = nbrs
-		}
-	})
-
 	var probes atomic.Int64
 	var wg sync.WaitGroup
 	w := workers()
@@ -101,14 +82,16 @@ func LCC(g Graph) ([]float64, WorkStats) {
 			defer wg.Done()
 			var local int64
 			for u := lo; u < hi; u++ {
-				nbrs := adj[u]
+				nbrs, _ := g.Row(uint64(u))
 				d := len(nbrs)
 				if d < 2 {
 					continue
 				}
 				links := 0
 				for _, v := range nbrs {
-					vAdj := adj[v]
+					// Rows are sorted, so edge-existence probes are binary
+					// searches.
+					vAdj, _ := g.Row(v)
 					for _, w := range nbrs {
 						if w == v {
 							continue

@@ -2,11 +2,9 @@ package analytics
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"h2tap/internal/csr"
-	"h2tap/internal/dyngraph"
 )
 
 // triangle plus a tail: 0↔1↔2↔0 (directed cycle both ways), 3→0, 4 isolated.
@@ -77,20 +75,7 @@ func TestLCCPartial(t *testing.T) {
 }
 
 func TestGraphalyticsAgreeAcrossStructures(t *testing.T) {
-	c := randomCSR(21, 200, 4)
-	dg := dyngraph.FromCSR(c)
-	l1, _ := CDLP(CSRGraph{c}, 5)
-	l2, _ := CDLP(dg, 5)
-	if !reflect.DeepEqual(l1, l2) {
-		t.Fatal("CDLP differs between CSR and dynamic structure")
-	}
-	c1, _ := LCC(CSRGraph{c})
-	c2, _ := LCC(dg)
-	for i := range c1 {
-		if math.Abs(c1[i]-c2[i]) > 1e-12 {
-			t.Fatalf("LCC differs at %d", i)
-		}
-	}
+	agreeAcrossViews(t, replicaViews(21, 200, 4), "cdlp", "lcc")
 }
 
 func TestLCCBounds(t *testing.T) {

@@ -37,14 +37,6 @@ func (c *CSR) MaxNodeID() uint64 {
 	return uint64(c.NumNodes() - 1)
 }
 
-// Degree reports the out-degree of node u (0 for out-of-range IDs).
-func (c *CSR) Degree(u uint64) int {
-	if u >= uint64(c.NumNodes()) {
-		return 0
-	}
-	return int(c.Off[u+1] - c.Off[u])
-}
-
 // Row returns node u's column indices and edge values. The slices alias the
 // CSR's arrays; callers must not modify them.
 func (c *CSR) Row(u uint64) ([]uint64, []float64) {
@@ -158,7 +150,7 @@ func MergeSerial(old *CSR, batch *delta.Batch) (*CSR, MergeStats) {
 		}
 		copyRows(pos, d.Node)
 		oc, ov := old.Row(d.Node)
-		mergeRow(out, oc, ov, d)
+		out.Col, out.Val = MergeRow(out.Col, out.Val, oc, ov, d)
 		out.Off[d.Node+1] = int64(len(out.Col))
 		st.RowsModified++
 		pos = d.Node + 1
@@ -177,7 +169,7 @@ func MergeSerial(old *CSR, batch *delta.Batch) (*CSR, MergeStats) {
 		for ; pos < d.Node; pos++ {
 			out.Off[pos+1] = int64(len(out.Col))
 		}
-		mergeRow(out, nil, nil, d)
+		out.Col, out.Val = MergeRow(out.Col, out.Val, nil, nil, d)
 		out.Off[d.Node+1] = int64(len(out.Col))
 		st.RowsAdded++
 		pos = d.Node + 1
@@ -189,13 +181,17 @@ func MergeSerial(old *CSR, batch *delta.Batch) (*CSR, MergeStats) {
 	return out, st
 }
 
-// mergeRow appends the merged row (old row ∪ inserts, minus deletes) to
-// out. Both the old row and the delta's Ins/Del are sorted, so this is a
-// linear three-way merge. An insert whose destination already exists
-// overwrites the weight (a delete+reinsert in one window).
-func mergeRow(out *CSR, oc []uint64, ov []float64, d *delta.Combined) {
+// MergeRow appends the merged row (old row oc/ov ∪ inserts, minus deletes)
+// to col/val and returns the extended slices. Both the old row and the
+// delta's Ins/Del are sorted, so this is a linear three-way merge. An insert
+// whose destination already exists overwrites the weight (a delete+reinsert
+// in one window); a deleted node yields an empty row. It is the one row
+// merge of both replicas: the CSR merge appends rows into its new arrays,
+// and the dynamic graph rebuilds each touched row with it. Any change here
+// must be mirrored in mergedRowLen.
+func MergeRow(col []uint64, val []float64, oc []uint64, ov []float64, d *delta.Combined) ([]uint64, []float64) {
 	if d.Deleted {
-		return // empty row for deleted nodes
+		return col, val
 	}
 	i, j, k := 0, 0, 0 // old row, Ins, Del cursors
 	for i < len(oc) || j < len(d.Ins) {
@@ -212,21 +208,22 @@ func mergeRow(out *CSR, oc []uint64, ov []float64, d *delta.Combined) {
 			}
 			if j < len(d.Ins) && d.Ins[j].Dst == dst {
 				// Overwrite: take the insert's weight, consume both.
-				out.Col = append(out.Col, dst)
-				out.Val = append(out.Val, d.Ins[j].W)
+				col = append(col, dst)
+				val = append(val, d.Ins[j].W)
 				i++
 				j++
 				continue
 			}
-			out.Col = append(out.Col, dst)
-			out.Val = append(out.Val, ov[i])
+			col = append(col, dst)
+			val = append(val, ov[i])
 			i++
 			continue
 		}
-		out.Col = append(out.Col, d.Ins[j].Dst)
-		out.Val = append(out.Val, d.Ins[j].W)
+		col = append(col, d.Ins[j].Dst)
+		val = append(val, d.Ins[j].W)
 		j++
 	}
+	return col, val
 }
 
 // Equal reports whether two CSRs represent the same graph (same rows over

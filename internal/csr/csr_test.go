@@ -46,8 +46,10 @@ func TestBuildBasic(t *testing.T) {
 	if len(col) != 2 || col[0] != 1 || col[1] != 2 || val[0] != 1 || val[1] != 2 {
 		t.Fatalf("row 0 = %v %v", col, val)
 	}
-	if c.Degree(1) != 1 || c.Degree(3) != 0 || c.Degree(99) != 0 {
-		t.Fatalf("degrees: %d %d %d", c.Degree(1), c.Degree(3), c.Degree(99))
+	for u, want := range map[uint64]int{1: 1, 3: 0, 99: 0} {
+		if col, _ := c.Row(u); len(col) != want {
+			t.Fatalf("row %d has %d edges, want %d", u, len(col), want)
+		}
 	}
 	if c.Bytes() != int64(5*8+3*8+3*8) {
 		t.Fatalf("Bytes = %d", c.Bytes())
@@ -129,7 +131,7 @@ func TestMergeNewNodesWithGap(t *testing.T) {
 		t.Fatalf("NumNodes = %d, want 7", merged.NumNodes())
 	}
 	for _, gap := range []uint64{4, 5} {
-		if merged.Degree(gap) != 0 {
+		if col, _ := merged.Row(gap); len(col) != 0 {
 			t.Fatalf("gap node %d has edges", gap)
 		}
 	}

@@ -182,7 +182,9 @@ func mergeParallel(old *CSR, batch *delta.Batch, workers int, onShard func(Merge
 						oc = old.Col[old.Off[r]:old.Off[r+1]]
 						ov = old.Val[old.Off[r]:old.Off[r+1]]
 					}
-					mergeRowInto(out.Col[at:at+size], out.Val[at:at+size], oc, ov, d)
+					// Capacity is exactly the counted size, so the appends
+					// write in place.
+					MergeRow(out.Col[at:at:at+size], out.Val[at:at:at+size], oc, ov, d)
 				} else if size > 0 {
 					copy(out.Col[at:at+size], old.Col[old.Off[r]:old.Off[r+1]])
 					copy(out.Val[at:at+size], old.Val[old.Off[r]:old.Off[r+1]])
@@ -213,9 +215,9 @@ func mergeParallel(old *CSR, batch *delta.Batch, workers int, onShard func(Merge
 	return out, st
 }
 
-// mergedRowLen is the counting replay of mergeRow: the length the merged
+// mergedRowLen is the counting replay of MergeRow: the length the merged
 // row (old row ∪ inserts, minus deletes) will have, without writing it.
-// Any change here must be mirrored in mergeRow and mergeRowInto.
+// Any change here must be mirrored in MergeRow.
 func mergedRowLen(oc []uint64, d *delta.Combined) int {
 	if d.Deleted {
 		return 0
@@ -246,46 +248,6 @@ func mergedRowLen(oc []uint64, d *delta.Combined) int {
 		j++
 	}
 	return n
-}
-
-// mergeRowInto is mergeRow writing into a preallocated destination sized by
-// mergedRowLen, instead of appending. Any change here must be mirrored in
-// mergeRow and mergedRowLen.
-func mergeRowInto(col []uint64, val []float64, oc []uint64, ov []float64, d *delta.Combined) {
-	if d.Deleted {
-		return
-	}
-	at, i, j, k := 0, 0, 0, 0
-	for i < len(oc) || j < len(d.Ins) {
-		useOld := j >= len(d.Ins) || (i < len(oc) && oc[i] <= d.Ins[j].Dst)
-		if useOld {
-			dst := oc[i]
-			for k < len(d.Del) && d.Del[k] < dst {
-				k++
-			}
-			if k < len(d.Del) && d.Del[k] == dst {
-				i++
-				continue
-			}
-			if j < len(d.Ins) && d.Ins[j].Dst == dst {
-				col[at] = dst
-				val[at] = d.Ins[j].W
-				at++
-				i++
-				j++
-				continue
-			}
-			col[at] = dst
-			val[at] = ov[i]
-			at++
-			i++
-			continue
-		}
-		col[at] = d.Ins[j].Dst
-		val[at] = d.Ins[j].W
-		at++
-		j++
-	}
 }
 
 // BuildWorkers is Build with an explicit worker count (workers <= 0 selects

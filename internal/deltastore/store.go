@@ -380,7 +380,7 @@ func (s *Store) StageScanWorkers(tp mvto.TS, workers int) *StagedScan {
 	defer s.clearMu.RUnlock()
 
 	// Pass 1: collect valid+visible records as lightweight references.
-	limit := s.records.Len()
+	limit := s.records.Backed()
 	start := s.consumedPrefix.Load()
 	newPrefix := limit
 	hits := make([]scanHit, 0, 256)
@@ -612,7 +612,7 @@ func (s *Store) materialize(rec *record) delta.Combined {
 // proportional to the unconsumed tail.
 func (s *Store) PendingCount(tp mvto.TS) int {
 	n := 0
-	s.forEachFrom(s.consumedPrefix.Load(), s.records.Len(), func(_ uint64, rec *record) bool {
+	s.forEachFrom(s.consumedPrefix.Load(), s.records.Backed(), func(_ uint64, rec *record) bool {
 		st := rec.state.Load()
 		if st&stReady != 0 && st&stValid != 0 && rec.ts < tp {
 			n++
@@ -661,7 +661,7 @@ func (s *Store) checkHighWater() {
 // to do. The engine uses it for the freshness check (§4.3).
 func (s *Store) PendingAt(tp mvto.TS) bool {
 	pending := false
-	s.forEachFrom(s.consumedPrefix.Load(), s.records.Len(), func(_ uint64, rec *record) bool {
+	s.forEachFrom(s.consumedPrefix.Load(), s.records.Backed(), func(_ uint64, rec *record) bool {
 		st := rec.state.Load()
 		if st&stReady != 0 && st&stValid != 0 && rec.ts < tp {
 			pending = true

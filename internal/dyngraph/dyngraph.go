@@ -1,124 +1,69 @@
 // Package dyngraph implements the paper's representative *dynamic* GPU
-// graph data structure (§2.1, §5.4): a hash table per vertex storing its
-// outgoing edges, after Awad et al. [7], with batched ingestion of update
-// groups — Algorithm 1. On real hardware the tables live in GPU memory and
-// batches are ingested by kernels; here the structure lives on the host and
-// the simulated device charges transfer and ingest-kernel time (see
-// internal/gpu).
+// graph data structure (§2.1, §5.4): per-vertex adjacency storage after
+// Awad et al. [7], with batched ingestion of update groups — Algorithm 1.
+// On real hardware the structure is a hash table per vertex in GPU memory
+// and batches are ingested by kernels; here its host twin is a sorted row
+// per vertex, and the simulated device charges transfer and ingest-kernel
+// time for the hash table (see internal/gpu).
 package dyngraph
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"h2tap/internal/csr"
 	"h2tap/internal/delta"
-	"h2tap/internal/mvto"
 )
 
-// vertex is one per-node hash table: destination → weight.
-type vertex struct {
-	edges map[uint64]float64
+// row is one vertex's out-edges, sorted by destination. Rows are never
+// written in place: a touched row is replaced by a freshly merged one, so a
+// slice handed out by Row stays valid until the graph is mutated.
+type row struct {
+	dst []uint64
+	w   []float64
 }
 
-// Graph is the dynamic structure. Vertices are indexed by node ID; a nil
-// entry is an absent (never-inserted or deleted) vertex.
+// Graph is the dynamic structure. Vertices are indexed by node ID; an
+// absent (never-inserted or deleted) vertex is an empty row.
+//
+// Graph has no lock of its own. In the engine it is mutated only inside
+// gpu.ResidentDyn.IngestWorkers under htap.Engine's replicaMu write lock,
+// and read only under its read lock (kernel runs, AcquireReplica, Scrub).
+// Other callers must likewise not read it while it is being mutated.
 type Graph struct {
-	mu       sync.RWMutex
-	verts    []*vertex
+	rows     []row
 	numEdges int64
 }
 
-// New returns an empty dynamic graph.
-func New() *Graph { return &Graph{} }
-
 // FromCSR builds the dynamic structure from a CSR snapshot (initial replica
-// load).
+// load). The rows share c's arrays, which CSRs never modify after
+// construction; ingest replaces a touched row rather than writing into it.
 func FromCSR(c *csr.CSR) *Graph {
-	g := &Graph{verts: make([]*vertex, c.NumNodes())}
-	for u := 0; u < c.NumNodes(); u++ {
-		col, val := c.Row(uint64(u))
-		v := &vertex{edges: make(map[uint64]float64, len(col))}
-		for i := range col {
-			v.edges[col[i]] = val[i]
+	g := &Graph{rows: make([]row, c.NumNodes()), numEdges: c.NumEdges()}
+	for u := range g.rows {
+		lo, hi := c.Off[u], c.Off[u+1]
+		if lo < hi {
+			g.rows[u] = row{dst: c.Col[lo:hi:hi], w: c.Val[lo:hi:hi]}
 		}
-		g.verts[u] = v
-		g.numEdges += int64(len(col))
-	}
-	return g
-}
-
-// FromSnapshot builds the dynamic structure directly from the main graph at
-// a commit timestamp. Node slots with no visible node become absent
-// vertices.
-func FromSnapshot(src csr.Snapshot, ts mvto.TS) *Graph {
-	type lister interface {
-		NodeExistsAt(id uint64, ts mvto.TS) bool
-	}
-	n := src.NumNodeSlots()
-	g := &Graph{verts: make([]*vertex, n)}
-	ex, hasExists := src.(lister)
-	for id := uint64(0); id < n; id++ {
-		edges := src.OutEdgesAt(id, ts)
-		if edges == nil && hasExists && !ex.NodeExistsAt(id, ts) {
-			continue
-		}
-		v := &vertex{edges: make(map[uint64]float64, len(edges))}
-		for _, e := range edges {
-			v.edges[e.Dst] = e.W
-		}
-		g.verts[id] = v
-		g.numEdges += int64(len(edges))
 	}
 	return g
 }
 
 // NumVertexSlots reports the vertex ID space (including absent slots).
-func (g *Graph) NumVertexSlots() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.verts)
-}
+func (g *Graph) NumVertexSlots() int { return len(g.rows) }
 
 // NumEdges reports the stored edge count.
-func (g *Graph) NumEdges() int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.numEdges
-}
+func (g *Graph) NumEdges() int64 { return g.numEdges }
 
-// HasVertex reports whether vertex u exists.
-func (g *Graph) HasVertex(u uint64) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return u < uint64(len(g.verts)) && g.verts[u] != nil
-}
-
-// Degree reports the out-degree of u (0 for absent vertices).
-func (g *Graph) Degree(u uint64) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if u >= uint64(len(g.verts)) || g.verts[u] == nil {
-		return 0
+// Row returns u's out-edges in ascending destination order, or nil rows for
+// an absent or out-of-range vertex. The slices are read-only.
+func (g *Graph) Row(u uint64) ([]uint64, []float64) {
+	if u >= uint64(len(g.rows)) {
+		return nil, nil
 	}
-	return len(g.verts[u].edges)
-}
-
-// ForEachNeighbor visits u's out-edges. Iteration order is unspecified (a
-// hash-table structure, unlike CSR's sorted rows).
-func (g *Graph) ForEachNeighbor(u uint64, fn func(dst uint64, w float64) bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if u >= uint64(len(g.verts)) || g.verts[u] == nil {
-		return
-	}
-	for dst, w := range g.verts[u].edges {
-		if !fn(dst, w) {
-			return
-		}
-	}
+	r := &g.rows[u]
+	return r.dst, r.w
 }
 
 // Stats reports the work of one ApplyBatch, used to charge the simulated
@@ -142,10 +87,8 @@ func (s Stats) Ops() int {
 // kernel and reserve growth memory *before* the host-side twin mutates, so
 // a rejected ingest is failure-atomic.
 func (g *Graph) PlanBatch(b *delta.Batch) (st Stats, slots int, maxEdges int64) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	xid := int64(len(g.verts)) - 1
-	slots = len(g.verts)
+	xid := int64(len(g.rows)) - 1
+	slots = len(g.rows)
 	maxEdges = g.numEdges
 	for i := range b.Deltas {
 		d := &b.Deltas[i]
@@ -160,9 +103,9 @@ func (g *Graph) PlanBatch(b *delta.Batch) (st Stats, slots int, maxEdges int64) 
 			st.NodeInserts++
 			st.EdgeInserts += len(d.Ins)
 			maxEdges += int64(len(d.Ins))
-			if need := int(d.Node) + 1; need > slots {
-				slots = need
-			}
+		}
+		if need := int(d.Node) + 1; need > slots {
+			slots = need
 		}
 	}
 	return st, slots, maxEdges
@@ -180,16 +123,15 @@ func (g *Graph) ApplyBatch(b *delta.Batch) Stats {
 // partitioned by the pre-update maximum node ID: deleted nodes go to a
 // deletion queue, deltas for existing nodes apply their edge inserts and
 // deletes in batches, deltas beyond the old range enter an insertion queue;
-// the queues are drained last (lines 10-11). Edge batches for distinct
-// vertices are ingested in parallel, mirroring the GPU structure's
-// concurrent bucket updates: each delta touches only its own vertex's
-// table, so sharding the node-sorted delta list gives workers disjoint
-// vertex sets. The resulting graph is identical at every worker count.
+// the queues are drained last (lines 10-11). Every touched row is rebuilt
+// by csr.MergeRow, the row merge of the static path, so both replicas
+// apply a combined delta identically. Edge batches for distinct vertices
+// are ingested in parallel, mirroring the GPU structure's concurrent bucket
+// updates: each delta touches only its own vertex's row, so sharding the
+// node-sorted delta list gives workers disjoint vertex sets. The resulting
+// graph is identical at every worker count.
 func (g *Graph) ApplyBatchWorkers(b *delta.Batch, workers int) Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-
-	xid := int64(len(g.verts)) - 1 // max node ID before updates (line 1)
+	xid := int64(len(g.rows)) - 1 // max node ID before updates (line 1)
 	var st Stats
 	var insertions []*delta.Combined // queue of new-node deltas (line 9)
 	var deletions []uint64           // queue of deleted node IDs (line 4)
@@ -232,28 +174,9 @@ func (g *Graph) ApplyBatchWorkers(b *delta.Batch, workers int) Stats {
 			var local Stats
 			var edgeDelta int64
 			for _, d := range ds {
-				v := g.verts[d.Node]
-				if v == nil {
-					// Re-inserted slot (deleted earlier, reborn in this
-					// batch via Inserted flag on an existing ID cannot
-					// happen with dense IDs; guard anyway).
-					v = &vertex{edges: make(map[uint64]float64, len(d.Ins))}
-					g.verts[d.Node] = v
-				}
-				for _, e := range d.Ins {
-					if _, dup := v.edges[e.Dst]; !dup {
-						edgeDelta++
-					}
-					v.edges[e.Dst] = e.W
-					local.EdgeInserts++
-				}
-				for _, dst := range d.Del {
-					if _, ok := v.edges[dst]; ok {
-						delete(v.edges, dst)
-						edgeDelta--
-					}
-					local.EdgeDeletes++
-				}
+				edgeDelta += g.merge(d)
+				local.EdgeInserts += len(d.Ins)
+				local.EdgeDeletes += len(d.Del)
 			}
 			mu.Lock()
 			st.EdgeInserts += local.EdgeInserts
@@ -264,66 +187,80 @@ func (g *Graph) ApplyBatchWorkers(b *delta.Batch, workers int) Stats {
 	}
 	wg.Wait()
 
-	// Line 10: ingest newly inserted nodes.
+	// Line 10: ingest newly inserted nodes. ID gaps — IDs whose insert
+	// aborted — become empty rows.
 	for _, d := range insertions {
-		need := int(d.Node) + 1
-		for len(g.verts) < need {
-			g.verts = append(g.verts, nil)
-		}
-		v := &vertex{edges: make(map[uint64]float64, len(d.Ins))}
-		for _, e := range d.Ins {
-			v.edges[e.Dst] = e.W
-		}
-		g.verts[d.Node] = v
-		g.numEdges += int64(len(d.Ins))
+		g.grow(d.Node)
+		g.numEdges += g.merge(d)
 		st.NodeInserts++
 		st.EdgeInserts += len(d.Ins)
 	}
 
 	// Line 11: remove deleted nodes. Edges *to* them were deleted via
 	// explicit source-node deltas (§5.1), so only the vertex itself goes.
+	// A node inserted and deleted within the window keeps its slot as an
+	// empty row, as in the CSR merge.
 	for _, id := range deletions {
-		if id < uint64(len(g.verts)) && g.verts[id] != nil {
-			g.numEdges -= int64(len(g.verts[id].edges))
-			g.verts[id] = nil
-		}
+		g.grow(id)
+		g.numEdges -= int64(len(g.rows[id].dst))
+		g.rows[id] = row{}
 		st.NodeDeletes++
 	}
 	return st
 }
 
-// ToCSR exports the dynamic structure as a CSR with sorted rows, for
-// equivalence checks against the static path.
+// grow extends the vertex space to cover id with empty rows.
+func (g *Graph) grow(id uint64) {
+	if n := int(id) + 1; n > len(g.rows) {
+		g.rows = append(g.rows, make([]row, n-len(g.rows))...)
+	}
+}
+
+// merge replaces d.Node's row with its merge against d and returns the
+// change in edge count.
+func (g *Graph) merge(d *delta.Combined) int64 {
+	old := g.rows[d.Node]
+	var r row
+	if n := len(old.dst) + len(d.Ins); n > 0 {
+		r.dst, r.w = csr.MergeRow(make([]uint64, 0, n), make([]float64, 0, n), old.dst, old.w, d)
+	}
+	if len(r.dst) == 0 {
+		r = row{}
+	}
+	g.rows[d.Node] = r
+	return int64(len(r.dst) - len(old.dst))
+}
+
+// ToCSR exports the dynamic structure as a CSR, for equivalence checks
+// against the static path.
 func (g *Graph) ToCSR() *csr.CSR {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c := &csr.CSR{Off: make([]int64, len(g.verts)+1)}
-	for u := range g.verts {
-		if g.verts[u] != nil {
-			cols := make([]uint64, 0, len(g.verts[u].edges))
-			for dst := range g.verts[u].edges {
-				cols = append(cols, dst)
-			}
-			sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
-			for _, dst := range cols {
-				c.Col = append(c.Col, dst)
-				c.Val = append(c.Val, g.verts[u].edges[dst])
-			}
-		}
+	c := &csr.CSR{
+		Off: make([]int64, len(g.rows)+1),
+		Col: make([]uint64, 0, g.numEdges),
+		Val: make([]float64, 0, g.numEdges),
+	}
+	for u, r := range g.rows {
+		c.Col = append(c.Col, r.dst...)
+		c.Val = append(c.Val, r.w...)
 		c.Off[u+1] = int64(len(c.Col))
 	}
 	return c
 }
 
-// Validate checks internal consistency (edge counter vs actual tables).
+// Validate checks internal consistency: the edge counter against the
+// rows, and every row strictly sorted with one weight per destination.
 func (g *Graph) Validate() error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	var n int64
-	for _, v := range g.verts {
-		if v != nil {
-			n += int64(len(v.edges))
+	for u, r := range g.rows {
+		if len(r.dst) != len(r.w) {
+			return fmt.Errorf("dyngraph: row %d has %d destinations, %d weights", u, len(r.dst), len(r.w))
 		}
+		for i := 1; i < len(r.dst); i++ {
+			if r.dst[i] <= r.dst[i-1] {
+				return fmt.Errorf("dyngraph: row %d not strictly sorted at %d", u, i)
+			}
+		}
+		n += int64(len(r.dst))
 	}
 	if n != g.numEdges {
 		return fmt.Errorf("dyngraph: edge counter %d, actual %d", g.numEdges, n)

@@ -2,14 +2,13 @@ package dyngraph
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"h2tap/internal/csr"
 	"h2tap/internal/delta"
 	"h2tap/internal/deltastore"
 	"h2tap/internal/graph"
-	"h2tap/internal/mvto"
 )
 
 func smallCSR() *csr.CSR {
@@ -33,30 +32,20 @@ func TestFromCSRRoundTrip(t *testing.T) {
 	if !csr.Equal(g.ToCSR(), c) {
 		t.Fatal("CSR round trip mismatch")
 	}
-	if g.Degree(0) != 2 || g.Degree(3) != 0 || g.Degree(99) != 0 {
-		t.Fatal("degree mismatch")
-	}
 }
 
-func TestForEachNeighbor(t *testing.T) {
+func TestRow(t *testing.T) {
 	g := FromCSR(smallCSR())
-	var got []uint64
-	g.ForEachNeighbor(0, func(dst uint64, w float64) bool {
-		got = append(got, dst)
-		return true
-	})
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("neighbors of 0 = %v", got)
+	dst, w := g.Row(0)
+	if !reflect.DeepEqual(dst, []uint64{1, 2}) || !reflect.DeepEqual(w, []float64{1, 2}) {
+		t.Fatalf("row 0 = %v %v", dst, w)
 	}
-	// Early stop.
-	count := 0
-	g.ForEachNeighbor(0, func(uint64, float64) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
+	// Empty, and out-of-range vertices: nil rows.
+	for _, u := range []uint64{3, 77} {
+		if dst, w := g.Row(u); dst != nil || w != nil {
+			t.Fatalf("row %d = %v %v, want nil", u, dst, w)
+		}
 	}
-	// Absent vertex: no visits.
-	g.ForEachNeighbor(77, func(uint64, float64) bool { t.Fatal("visited"); return true })
 }
 
 func TestApplyBatchEdgeOps(t *testing.T) {
@@ -90,15 +79,20 @@ func TestApplyBatchNodeOps(t *testing.T) {
 	if st.NodeInserts != 1 || st.NodeDeletes != 1 || st.Ops() != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if g.HasVertex(2) {
-		t.Fatal("deleted vertex still present")
+	if dst, _ := g.Row(2); dst != nil {
+		t.Fatal("deleted vertex has edges")
 	}
-	if !g.HasVertex(6) || g.Degree(6) != 1 {
+	if dst, w := g.Row(6); len(dst) != 1 || dst[0] != 0 || w[0] != 5 {
 		t.Fatal("inserted vertex missing")
 	}
-	// Gap slots 4, 5 are absent, not empty vertices.
-	if g.HasVertex(4) || g.HasVertex(5) {
-		t.Fatal("gap slots materialized")
+	// Gap slots 4, 5 are empty rows.
+	if g.NumVertexSlots() != 7 {
+		t.Fatalf("slots = %d, want 7", g.NumVertexSlots())
+	}
+	for _, gap := range []uint64{4, 5} {
+		if dst, _ := g.Row(gap); dst != nil {
+			t.Fatalf("gap slot %d has edges", gap)
+		}
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -113,15 +107,8 @@ func TestApplyBatchWeightOverwrite(t *testing.T) {
 	if g.NumEdges() != 3 {
 		t.Fatalf("overwrite changed edge count: %d", g.NumEdges())
 	}
-	var w float64
-	g.ForEachNeighbor(0, func(dst uint64, weight float64) bool {
-		if dst == 1 {
-			w = weight
-		}
-		return true
-	})
-	if w != 42 {
-		t.Fatalf("weight = %v", w)
+	if dst, w := g.Row(0); dst[0] != 1 || w[0] != 42 {
+		t.Fatalf("row 0 = %v %v", dst, w)
 	}
 }
 
@@ -192,37 +179,4 @@ func TestDynamicMatchesStaticPath(t *testing.T) {
 			static = merged
 		}
 	}
-}
-
-func TestFromSnapshot(t *testing.T) {
-	s := graph.NewStore()
-	loadTS, err := s.BulkLoad(
-		[]graph.NodeSpec{{Label: "A"}, {Label: "A"}, {Label: "A"}},
-		[]graph.EdgeSpec{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 2}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete node 1 so its slot is a hole.
-	tx := s.Begin()
-	if err := tx.DeleteNode(1); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	ts := s.Oracle().LastCommitted()
-	g := FromSnapshot(s, ts)
-	if g.HasVertex(1) {
-		t.Fatal("deleted node materialized")
-	}
-	if !g.HasVertex(0) || g.Degree(0) != 0 {
-		t.Fatalf("node 0: has=%v deg=%d (edge to deleted 1 should be gone)", g.HasVertex(0), g.Degree(0))
-	}
-	if g.Degree(2) != 1 {
-		t.Fatalf("node 2 degree = %d", g.Degree(2))
-	}
-	if !csr.Equal(g.ToCSR(), csr.Build(s, ts)) {
-		t.Fatal("FromSnapshot differs from CSR build")
-	}
-	_ = loadTS
-	_ = mvto.TS(0)
 }

@@ -154,7 +154,7 @@ func TestDynIngest(t *testing.T) {
 	if got := d.SimTime() - before; got != transfer+kernel {
 		t.Fatalf("device charged %v, ingest reported %v + %v", got, transfer, kernel)
 	}
-	if !r.Graph().HasVertex(5) {
+	if dst, _ := r.Graph().Row(5); len(dst) != 1 || dst[0] != 1 {
 		t.Fatal("ingest lost the inserted vertex")
 	}
 	r.Free()

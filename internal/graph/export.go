@@ -10,8 +10,7 @@ import (
 // = snapshot + log tail).
 func (s *Store) ExportAt(ts mvto.TS) ([]RestoredNode, []RestoredRel) {
 	var nodes []RestoredNode
-	limit := s.nodes.Len()
-	s.nodes.ForEach(limit, func(id uint64, n *node) bool {
+	s.nodes.ForEach(s.nodes.Backed(), func(id uint64, n *node) bool {
 		v := n.visible(ts)
 		if v == nil {
 			return true
@@ -25,7 +24,7 @@ func (s *Store) ExportAt(ts mvto.TS) ([]RestoredNode, []RestoredRel) {
 	})
 
 	var rels []RestoredRel
-	s.rels.ForEach(s.rels.Len(), func(id uint64, r *rel) bool {
+	s.rels.ForEach(s.rels.Backed(), func(id uint64, r *rel) bool {
 		v := r.visible(ts)
 		if v == nil {
 			return true

@@ -323,8 +323,7 @@ func (s *Store) DegreeAt(id NodeID, ts mvto.TS) int {
 
 // ForEachNodeAt calls fn for every node visible at ts, in ID order.
 func (s *Store) ForEachNodeAt(ts mvto.TS, fn func(id NodeID, label uint32) bool) {
-	limit := s.nodes.Len()
-	s.nodes.ForEach(limit, func(i uint64, n *node) bool {
+	s.nodes.ForEach(s.nodes.Backed(), func(i uint64, n *node) bool {
 		if n.visible(ts) == nil {
 			return true
 		}

@@ -221,8 +221,10 @@ type Engine struct {
 	dev   *gpu.Device
 	cfg   Config
 
-	// replicaMu guards replica swaps; kernels hold it shared for the
-	// duration of a run (one replica version at a time, §4.3).
+	// replicaMu guards replica swaps and dynamic-replica ingest (the
+	// dynamic graph has no lock of its own); kernels and AcquireReplica
+	// holders read under it shared for the duration of a run (one replica
+	// version at a time, §4.3).
 	replicaMu sync.RWMutex
 	staticRep *gpu.ResidentCSR
 	hostCSR   *csr.CSR // the CPU copy the merge reads (§5.4)

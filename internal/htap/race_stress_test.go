@@ -8,10 +8,12 @@ import (
 	"h2tap/internal/workload"
 )
 
-// runEngineRace races committer goroutines against propagation cycles and
-// returns the total records the cycles consumed. Each mid-race cycle only
-// checks structural invariants (concurrent commits make the exact replica
-// content a moving target); the caller quiesces and verifies equivalence.
+// runEngineRace races committer goroutines and an analyst against
+// propagation cycles and returns the total records the cycles consumed
+// (including those the analyst's own catch-up propagations consumed). Each
+// mid-race cycle only checks structural invariants (concurrent commits make
+// the exact replica content a moving target); the caller quiesces and
+// verifies equivalence.
 func runEngineRace(t *testing.T, e *Engine, ops []workload.Op, committers, cycles int) int {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -21,6 +23,19 @@ func runEngineRace(t *testing.T, e *Engine, ops []workload.Op, committers, cycle
 		defer wg.Done()
 		res = workload.RunParallel(e.Store(), ops, committers)
 	}()
+	stop := make(chan struct{})
+	var analyst sync.WaitGroup
+	var analystRecords int
+	analyst.Add(1)
+	go func() {
+		defer analyst.Done()
+		analystRecords = raceAnalyst(t, e, stop)
+	}()
+	stopAnalyst := sync.OnceFunc(func() {
+		close(stop)
+		analyst.Wait()
+	})
+	defer stopAnalyst()
 
 	consumed := 0
 	lastTS := e.ReplicaTS()
@@ -41,10 +56,55 @@ func runEngineRace(t *testing.T, e *Engine, ops []workload.Op, committers, cycle
 		}
 	}
 	wg.Wait()
+	stopAnalyst()
+	consumed += analystRecords
 	if res.Committed == 0 {
 		t.Fatal("committers committed nothing")
 	}
 	return consumed
+}
+
+// raceAnalyst cycles analytics on the live engine until stop closes: BFS
+// and WCC through RunAnalytics, then a walk over every row of a pinned
+// replica. Every BFS must place its source at level 0 and every row must be
+// strictly sorted. It returns the records its catch-up propagations
+// consumed.
+func raceAnalyst(t *testing.T, e *Engine, stop <-chan struct{}) int {
+	consumed := 0
+	for i := uint64(0); ; i++ {
+		view, _, release := e.AcquireReplica()
+		slots := uint64(view.NumVertexSlots())
+		for u := uint64(0); u < slots; u++ {
+			dst, w := view.Row(u)
+			if len(dst) != len(w) {
+				t.Errorf("row %d: %d destinations, %d weights", u, len(dst), len(w))
+			}
+			for k := 1; k < len(dst); k++ {
+				if dst[k] <= dst[k-1] {
+					t.Errorf("row %d not strictly sorted at %d: %v", u, k, dst)
+					break
+				}
+			}
+		}
+		release()
+		src := i * 7919 % slots
+		for _, kind := range []AnalyticsKind{BFS, WCC} {
+			res, err := e.RunAnalytics(kind, src)
+			if err != nil {
+				t.Errorf("%s: %v", kind, err)
+				return consumed
+			}
+			consumed += res.Propagation.Records
+			if kind == BFS && res.Levels[src] != 0 {
+				t.Errorf("BFS from %d: source at level %d", src, res.Levels[src])
+			}
+		}
+		select {
+		case <-stop:
+			return consumed
+		default:
+		}
+	}
 }
 
 // TestEnginePropagateRaceStress is the full-engine extension of the delta

@@ -221,7 +221,8 @@ func (c *Cluster) stitchAndRun(views []analytics.Graph, w []mvto.TS, kind htap.A
 	var edges int64
 	for i, g := range gids {
 		s, l := p.ShardOf(g), p.Local(g)
-		views[s].ForEachNeighbor(uint64(l), func(dst uint64, weight float64) bool {
+		dsts, ws := views[s].Row(uint64(l))
+		for k, dst := range dsts {
 			gdst, ok := rev[s][graph.NodeID(dst)]
 			if !ok {
 				gdst = p.Global(s, graph.NodeID(dst))
@@ -233,13 +234,12 @@ func (c *Cluster) stitchAndRun(views []analytics.Graph, w []mvto.TS, kind htap.A
 				// unreachable under the registry invariant (an edge is only
 				// visible after its destination's slot is). Dropped rather
 				// than corrupting the composite.
-				return true
+				continue
 			}
-			rows[i] = append(rows[i], edge{dst: ci, w: weight})
+			rows[i] = append(rows[i], edge{dst: ci, w: ws[k]})
 			owned[s]++
 			edges++
-			return true
-		})
+		}
 		sort.Slice(rows[i], func(a, b int) bool { return rows[i][a].dst < rows[i][b].dst })
 	}
 	comp := &csr.CSR{

@@ -72,22 +72,28 @@ func (s *Store) vertex(u uint64) *vert {
 func (s *Store) InsertVertex(id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for uint64(len(s.verts)) <= id {
-		s.verts = append(s.verts, nil)
-	}
+	s.grow(id)
 	if s.verts[id] == nil {
 		s.verts[id] = &vert{}
 	}
 }
 
-// DeleteVertex removes the vertex. Edges pointing to it from other vertices
-// are the caller's responsibility (the workload issues explicit edge
-// deletes, mirroring the delta semantics).
+// DeleteVertex removes the vertex; its slot stays in the ID space as an
+// absent vertex (growing the directory as needed, as the replicas keep a
+// node inserted and deleted in one window as an empty row). Edges pointing
+// to it from other vertices are the caller's responsibility (the workload
+// issues explicit edge deletes, mirroring the delta semantics).
 func (s *Store) DeleteVertex(id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id < uint64(len(s.verts)) {
-		s.verts[id] = nil
+	s.grow(id)
+	s.verts[id] = nil
+}
+
+// grow extends the directory to cover id. The caller holds s.mu.
+func (s *Store) grow(id uint64) {
+	if n := id + 1; n > uint64(len(s.verts)) {
+		s.verts = append(s.verts, make([]*vert, n-uint64(len(s.verts)))...)
 	}
 }
 
@@ -158,32 +164,25 @@ func (s *Store) NumVertexSlots() int {
 	return len(s.verts)
 }
 
-// Degree implements analytics.Graph.
-func (s *Store) Degree(u uint64) int {
+// Row implements analytics.Graph: a copy of u's sorted neighborhood, taken
+// under the per-vertex read lock. The copy contends with writers on that
+// lock — the source of the update/analytics interference §6.7 measures.
+func (s *Store) Row(u uint64) ([]uint64, []float64) {
 	v := s.vertex(u)
 	if v == nil {
-		return 0
+		return nil, nil
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.neighbors)
-}
-
-// ForEachNeighbor implements analytics.Graph. The per-vertex read lock is
-// held for the duration of the scan — the source of the update/analytics
-// interference §6.7 measures.
-func (s *Store) ForEachNeighbor(u uint64, fn func(dst uint64, w float64) bool) {
-	v := s.vertex(u)
-	if v == nil {
-		return
+	if len(v.neighbors) == 0 {
+		return nil, nil
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	for _, e := range v.neighbors {
-		if !fn(e.dst, e.w) {
-			return
-		}
+	dst := make([]uint64, len(v.neighbors))
+	w := make([]float64, len(v.neighbors))
+	for i, e := range v.neighbors {
+		dst[i], w[i] = e.dst, e.w
 	}
+	return dst, w
 }
 
 // NumEdges counts stored edges.

@@ -63,6 +63,18 @@ func (v *ChunkedVector[T]) ChunkSize() int { return 1 << v.shift }
 // (e.g. the delta store's ready flag) on top.
 func (v *ChunkedVector[T]) Len() uint64 { return v.next.Load() }
 
+// Backed reports the length of the prefix backed by allocated chunks: Len,
+// clamped below any index whose Reserve has advanced the cursor but not yet
+// grown the chunk directory. A scan racing appenders bounds itself by
+// Backed, not Len; the unbacked tail holds nothing written yet.
+func (v *ChunkedVector[T]) Backed() uint64 {
+	n := v.next.Load()
+	if c := uint64(len(*v.dir.Load())) << v.shift; c < n {
+		return c
+	}
+	return n
+}
+
 // Reserve atomically reserves n consecutive indexes and returns the first.
 // The reserved slots are backed by allocated chunks on return.
 func (v *ChunkedVector[T]) Reserve(n int) uint64 {

@@ -3,8 +3,10 @@ package storage
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAppendAndAt(t *testing.T) {
@@ -319,4 +321,29 @@ func BenchmarkParallelAppend(b *testing.B) {
 			v.Append(1)
 		}
 	})
+}
+
+// A scan bounded by Backed never indexes past the chunk directory, even
+// while an appender crosses a chunk boundary every other append (the cursor
+// moves before the directory grows).
+func TestScanBoundedByBackedRacesAppender(t *testing.T) {
+	v := NewChunkedVector[uint64](1)
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(0); !stop.Load(); i++ {
+			v.Append(i)
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+	}()
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+		if b := v.Backed(); b > v.Len() {
+			t.Fatalf("Backed %d beyond Len %d", b, v.Len())
+		}
+		v.ForEachFrom(0, v.Backed(), func(uint64, *uint64) bool { return true })
+	}
 }
