@@ -60,8 +60,8 @@ crash-full:
 	$(GO) test ./internal/crashtest
 
 # fuzz-smoke runs each fuzz target for a short budget — enough to catch
-# regressions in the parsers and grouping logic without a dedicated fuzz
-# farm.
+# regressions in the parsers, the grouping logic and the stitched composite
+# build without a dedicated fuzz farm.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCommit -fuzztime $(FUZZTIME) ./internal/wal
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMerge -fuzztime $(FUZZTIME) ./internal/csr
 	$(GO) test -run '^$$' -fuzz FuzzApplyBatch -fuzztime $(FUZZTIME) ./internal/dyngraph
 	$(GO) test -run '^$$' -fuzz FuzzScanGrouping -fuzztime $(FUZZTIME) ./internal/deltastore
+	$(GO) test -run '^$$' -fuzz FuzzStitchComposite -fuzztime $(FUZZTIME) ./internal/shard
 
 # obs-smoke boots the bench with the -obs HTTP listener and curls /metrics,
 # /healthz, /debug/trace and /debug/pprof mid-run, asserting the key metric

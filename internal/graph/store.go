@@ -148,11 +148,14 @@ func (s *Store) capture(d *delta.TxDelta) {
 }
 
 // NumNodeSlots reports the size of the node ID space (allocated slots,
-// including deleted and aborted ones). CSR builds iterate this range.
-func (s *Store) NumNodeSlots() uint64 { return s.nodes.Len() }
+// including deleted and aborted ones). CSR builds iterate this range. It is
+// bounded by the backed prefix: a slot reserved by a concurrent AddNode
+// whose chunk is not allocated yet is not counted.
+func (s *Store) NumNodeSlots() uint64 { return s.nodes.Backed() }
 
-// NumRelSlots reports the allocated relationship slots.
-func (s *Store) NumRelSlots() uint64 { return s.rels.Len() }
+// NumRelSlots reports the allocated relationship slots, bounded like
+// NumNodeSlots.
+func (s *Store) NumRelSlots() uint64 { return s.rels.Backed() }
 
 // LiveNodes reports committed, non-deleted node count.
 func (s *Store) LiveNodes() int64 { return s.liveNodes.Load() }
@@ -161,15 +164,15 @@ func (s *Store) LiveNodes() int64 { return s.liveNodes.Load() }
 func (s *Store) LiveRels() int64 { return s.liveRels.Load() }
 
 func (s *Store) node(id NodeID) (*node, error) {
-	if id >= s.nodes.Len() {
-		return nil, fmt.Errorf("graph: node %d out of range %d", id, s.nodes.Len())
+	if n := s.nodes.Backed(); id >= n {
+		return nil, fmt.Errorf("graph: node %d out of range %d", id, n)
 	}
 	return s.nodes.At(id), nil
 }
 
 func (s *Store) rel(id RelID) (*rel, error) {
-	if id >= s.rels.Len() {
-		return nil, fmt.Errorf("graph: relationship %d out of range %d", id, s.rels.Len())
+	if n := s.rels.Backed(); id >= n {
+		return nil, fmt.Errorf("graph: relationship %d out of range %d", id, n)
 	}
 	return s.rels.At(id), nil
 }

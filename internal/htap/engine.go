@@ -303,7 +303,16 @@ func newEngine(store *graph.Store, cfg Config, register bool) (*Engine, error) {
 		e.ds.OnHighWater(e.emergencyPropagate)
 	}
 
+	// The initial replica claims every transaction below its watermark.
+	// With the capturer registered beforehand every commit has a delta, so
+	// the cut is the stable timestamp: a transaction older than the last
+	// commit may still be in flight, and publishes its delta later. A
+	// capturer registered just now has missed every earlier commit, so that
+	// snapshot has to take them all.
 	ts := store.Oracle().LastCommitted()
+	if !register {
+		ts = store.Oracle().StableTS()
+	}
 	// Consume any deltas the initial snapshot already covers (pre-engine
 	// captures and recovered records from a pre-crash session whose
 	// replica state we are rebuilding from scratch here).

@@ -490,3 +490,57 @@ func TestQueueCloseIdempotent(t *testing.T) {
 	q.Close()
 	q.Close()
 }
+
+// TestEngineStartWatermarkExcludesInFlight starts an engine over a store
+// whose delta store is already registered while an older transaction is
+// still in flight behind a newer commit. The initial replica must not claim
+// the in-flight transaction, and must pick it up once it commits.
+func TestEngineStartWatermarkExcludesInFlight(t *testing.T) {
+	s := graph.NewStore()
+	ds := deltastore.NewVolatile()
+	s.AddCapturer(ds)
+	setup := s.Begin()
+	a, err := setup.AddNode("N", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := setup.AddNode("N", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	older := s.Begin()
+	if _, err := older.AddRel(a, b, "E", 1); err != nil {
+		t.Fatal(err)
+	}
+	newer := s.Begin()
+	if _, err := newer.AddNode("N", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := newer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := NewEngineWithExistingCapturer(s, Config{Replica: StaticCSR, DeltaStore: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := e.ReplicaTS(); w > older.TS() {
+		t.Fatalf("replica watermark %d covers in-flight transaction %d", w, older.TS())
+	}
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if dst, _ := e.HostCSR().Row(a); len(dst) != 1 || dst[0] != b {
+		t.Fatalf("row %d = %v after propagation, want [%d]", a, dst, b)
+	}
+	if w := e.ReplicaTS(); w <= newer.TS() {
+		t.Fatalf("replica watermark %d after propagation, want past %d", w, newer.TS())
+	}
+}

@@ -276,3 +276,54 @@ func uitoa(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
 }
+
+// TestStitchedAnalyticsAttribution traces a stitched BFS through the
+// facade: the propagate-on-demand wait, the watermark barrier and the
+// pinned composite build each record a stitch-phase span.
+func TestStitchedAnalyticsAttribution(t *testing.T) {
+	db, err := h2tap.Open(h2tap.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tx, err := db.BeginSharded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tx.AddNode("A", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tx.AddNode("B", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.AddRel(a, b, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.NewReqTracer(8, 8)
+	rq := tr.Start("stitch")
+	res, err := db.RunAnalyticsStitchedTraced(h2tap.BFS, a, rq)
+	rq.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Edges != 1 {
+		t.Fatalf("composite has %d edges, want 1", res.Edges)
+	}
+	recent := tr.Snapshot().Recent
+	if len(recent) != 1 {
+		t.Fatalf("retained %d traces, want 1", len(recent))
+	}
+	snap := recent[0]
+	requireSpans(t, snap, "stitch.propagate", "stitch.barrier", "stitch.build")
+	for _, sp := range snap.Spans {
+		if strings.HasPrefix(sp.Name, "stitch.") && sp.Phase != "stitch" {
+			t.Errorf("span %q in phase %q, want stitch", sp.Name, sp.Phase)
+		}
+	}
+}

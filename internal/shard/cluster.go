@@ -114,6 +114,10 @@ type Cluster struct {
 
 	epoch atomic.Uint64 // successful stitches (the composite-view epoch)
 
+	// afterUnpin, when set, runs in a stitched request between releasing
+	// the shard replicas and running the kernel (tests).
+	afterUnpin func()
+
 	commits [NumCommitPaths]atomic.Uint64 // committed transactions per CommitPath
 
 	closeOnce sync.Once

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"h2tap/internal/analytics"
@@ -67,8 +67,9 @@ const stitchAttempts = 256
 // per-shard views into one composite graph keyed by global ID: ghost slots
 // are dropped from the vertex set and edges pointing at ghosts are rewired
 // to the real remote vertex. The composite is therefore exactly the logical
-// graph at a committed prefix of every shard. On a torn cut the lagging
-// shards are re-propagated and the acquisition retried.
+// graph at a committed prefix of every shard. The composite is a private
+// copy, so every replica is released before the kernel runs. On a torn cut
+// the lagging shards are re-propagated and the acquisition retried.
 func (c *Cluster) RunAnalytics(kind htap.AnalyticsKind, src uint64) (*StitchResult, error) {
 	return c.RunAnalyticsTraced(kind, src, nil)
 }
@@ -76,7 +77,8 @@ func (c *Cluster) RunAnalytics(kind htap.AnalyticsKind, src uint64) (*StitchResu
 // RunAnalyticsTraced is RunAnalytics carrying a request trace: each attempt's
 // propagate-on-demand freshening records a stitch.propagate span and each
 // watermark acquire+verify records a stitch.barrier span, so a stitched
-// request stuck retrying torn cuts is attributable from /debug/requests. The
+// request stuck retrying torn cuts is attributable from /debug/requests; the
+// pinned composite build records a stitch.build span. The
 // per-request span cap bounds what a pathological retry loop can record. rq
 // may be nil.
 func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *obs.Req) (*StitchResult, error) {
@@ -153,8 +155,20 @@ func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *ob
 			continue
 		}
 
-		res, err := c.stitchAndRun(views, w, kind, class, src)
+		// The composite is a private copy: build it pinned, then unpin every
+		// shard before the kernel, so no shard's propagation waits on it.
+		start := time.Now()
+		sp = rq.Span("stitch.build", "stitch")
+		comp, err := buildComposite(c.part, views, c.forEachGhost)
+		sp.End()
 		release()
+		if err != nil {
+			return nil, err
+		}
+		if c.afterUnpin != nil {
+			c.afterUnpin()
+		}
+		res, err := c.runComposite(comp, included, w, kind, class, src, start)
 		if err != nil {
 			return nil, err
 		}
@@ -167,102 +181,192 @@ func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *ob
 	return nil, fmt.Errorf("shard: no consistent watermark cut after %d attempts", stitchAttempts)
 }
 
-// stitchAndRun builds the composite CSR from the acquired views and executes
-// the kernel on it. Called with every shard's replica pinned.
-func (c *Cluster) stitchAndRun(views []analytics.Graph, w []mvto.TS, kind htap.AnalyticsKind, class string, src uint64) (*StitchResult, error) {
-	start := time.Now()
-	p := c.part
+// composite is the stitched logical graph over the included shards, in
+// ascending global-ID order.
+type composite struct {
+	gids  []uint64 // composite index -> global ID
+	csr   *csr.CSR
+	owned []int64 // kept edges per owning shard
+	// index maps a global ID to its composite index; negative entries are
+	// not composite vertices (see buildComposite).
+	index []int32
+}
 
-	// Snapshot the ghost registry. Reverse entries are never removed, so a
-	// slot that ever held a ghost is reliably excluded even if the ghost was
-	// since deleted (its slot is then just a hole, same as any deleted node).
-	rev := make([]map[graph.NodeID]uint64, len(views))
-	c.ghostMu.RLock()
-	for i := range rev {
-		rev[i] = make(map[graph.NodeID]uint64, len(c.ghostRev[i]))
-		for l, g := range c.ghostRev[i] {
-			rev[i][l] = g
-		}
+// vertex translates global ID g to its composite index. A ghost slot,
+// padding, an excluded shard's vertex or an out-of-range ID is absent.
+func (c *composite) vertex(g uint64) (uint64, bool) {
+	if g < uint64(len(c.index)) && c.index[g] >= 0 {
+		return uint64(c.index[g]), true
 	}
-	c.ghostMu.RUnlock()
+	return 0, false
+}
 
-	// Composite vertex set: every non-ghost slot of every shard, by global
-	// ID (excluded shards contribute nothing — their views are nil). Holes
-	// (deleted or aborted nodes) keep their slot with no edges, matching
-	// the single-shard replica's treatment of its own holes.
-	var gids []uint64
+// buildComposite stitches the per-shard views into one composite CSR keyed
+// by global ID. views[s] is nil for an excluded shard; ghosts enumerates the
+// ghost registry as (shard, local slot, global ID) triples. The result
+// depends on nothing else, and shares no memory with the views.
+//
+// Since g = local·N + shard, walking local slots and then shards visits the
+// global IDs in ascending order, so one dense []int32 over
+// max(NumVertexSlots)·N positions is the whole index. During the build an
+// entry is:
+//   - 0 before the walk, then the composite index, for a non-ghost slot a
+//     shard's view covers;
+//   - -1 for padding, an excluded shard's slot or a ghost whose global ID
+//     is past int32;
+//   - -2-t for a ghost slot standing in for the vertex at position t; an
+//     edge into it takes t's entry, and is dropped unless that is a
+//     composite index.
+//
+// Holes (deleted or aborted nodes) keep their slot with no edges, matching
+// the single-shard replica's treatment of its own holes. Each shard
+// contributes the edges it owns, with ghost destinations rewired to the
+// remote vertex; an edge whose destination is not in the composite (an
+// excluded shard's vertex, or a slot past its view) is dropped.
+func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s int, local graph.NodeID, gid uint64))) (*composite, error) {
+	n := uint64(p.Shards())
+	slots := make([]uint64, len(views))
+	var width, maxVertices uint64
 	for s, v := range views {
-		if v == nil {
-			continue
-		}
-		n := v.NumVertexSlots()
-		for l := 0; l < n; l++ {
-			if _, ghost := rev[s][graph.NodeID(l)]; ghost {
-				continue
-			}
-			gids = append(gids, p.Global(s, graph.NodeID(l)))
+		if v != nil {
+			slots[s] = uint64(v.NumVertexSlots())
+			width = max(width, slots[s])
+			maxVertices += slots[s]
 		}
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	cidx := make(map[uint64]uint64, len(gids))
-	for i, g := range gids {
-		cidx[g] = uint64(i)
+	index := make([]int32, width*n)
+	ghosts(func(s int, l graph.NodeID, g uint64) {
+		if views[s] == nil {
+			return
+		}
+		pos := p.Global(s, l)
+		if pos >= uint64(len(index)) {
+			// A ghost past every view: only a row reaching past its own
+			// view can name it.
+			index = append(index, make([]int32, (l+1)*n-uint64(len(index)))...)
+		}
+		index[pos] = -1
+		if g <= math.MaxInt32-2 {
+			index[pos] = -2 - int32(g)
+		}
+	})
+	if len(index) > math.MaxInt32 {
+		return nil, fmt.Errorf("shard: composite index of %d slots exceeds int32", len(index))
+	}
+	width = uint64(len(index)) / n
+
+	gids := make([]uint64, 0, maxVertices)
+	for l := uint64(0); l < width; l++ {
+		for s, v := range views {
+			pos := l*n + uint64(s)
+			switch {
+			case index[pos] < 0: // ghost
+			case v != nil && l < slots[s]:
+				index[pos] = int32(len(gids))
+				gids = append(gids, pos)
+			default:
+				index[pos] = -1
+			}
+		}
 	}
 
-	// Composite adjacency: each shard contributes the edges it owns, with
-	// ghost destinations rewired to the remote vertex. Rows are sorted for
-	// deterministic layout.
-	type edge struct {
-		dst uint64
-		w   float64
-	}
-	rows := make([][]edge, len(gids))
+	// A second walk in the same order writes the rows: every vertex's
+	// composite index is known by now.
+	comp := &csr.CSR{Off: make([]int64, 1, len(gids)+1)}
 	owned := make([]int64, len(views))
-	var edges int64
-	for i, g := range gids {
-		s, l := p.ShardOf(g), p.Local(g)
-		dsts, ws := views[s].Row(uint64(l))
-		for k, dst := range dsts {
-			gdst, ok := rev[s][graph.NodeID(dst)]
-			if !ok {
-				gdst = p.Global(s, graph.NodeID(dst))
-			}
-			ci, ok := cidx[gdst]
-			if !ok {
-				// An edge into an excluded (Down) shard — its destination is
-				// not part of this composite — or, with no exclusions,
-				// unreachable under the registry invariant (an edge is only
-				// visible after its destination's slot is). Dropped rather
-				// than corrupting the composite.
+	for l := uint64(0); l < width; l++ {
+		for s, v := range views {
+			if index[l*n+uint64(s)] < 0 {
 				continue
 			}
-			rows[i] = append(rows[i], edge{dst: ci, w: ws[k]})
-			owned[s]++
-			edges++
+			dsts, ws := v.Row(l)
+			start, sorted := len(comp.Col), true
+			for k, dst := range dsts {
+				if dst >= width {
+					break // rows ascend: the rest are past the index too
+				}
+				ci := index[dst*n+uint64(s)]
+				if ci <= -2 {
+					if t := uint64(-2 - ci); t < uint64(len(index)) {
+						ci = index[t]
+					} else {
+						ci = -1
+					}
+				}
+				if ci < 0 {
+					continue
+				}
+				if end := len(comp.Col); end > start && comp.Col[end-1] > uint64(ci) {
+					sorted = false
+				}
+				comp.Col = append(comp.Col, uint64(ci))
+				comp.Val = append(comp.Val, ws[k])
+			}
+			if !sorted {
+				sortRow(comp.Col[start:], comp.Val[start:])
+			}
+			owned[s] += int64(len(comp.Col) - start)
+			comp.Off = append(comp.Off, int64(len(comp.Col)))
 		}
-		sort.Slice(rows[i], func(a, b int) bool { return rows[i][a].dst < rows[i][b].dst })
 	}
-	comp := &csr.CSR{
-		Off: make([]int64, len(gids)+1),
-		Col: make([]uint64, 0, edges),
-		Val: make([]float64, 0, edges),
+	return &composite{gids: gids, csr: comp, owned: owned, index: index}, nil
+}
+
+// sortRow sorts one composite row by destination, carrying the weights: an
+// in-place heapsort, O(k log k) whatever order the ghost rewiring left.
+func sortRow(col []uint64, val []float64) {
+	for i := len(col)/2 - 1; i >= 0; i-- {
+		siftDown(col, val, i, len(col))
 	}
-	for i, r := range rows {
-		for _, e := range r {
-			comp.Col = append(comp.Col, e.dst)
-			comp.Val = append(comp.Val, e.w)
+	for end := len(col) - 1; end > 0; end-- {
+		col[0], col[end] = col[end], col[0]
+		val[0], val[end] = val[end], val[0]
+		siftDown(col, val, 0, end)
+	}
+}
+
+func siftDown(col []uint64, val []float64, root, n int) {
+	for {
+		child := 2*root + 1
+		if child >= n {
+			return
 		}
-		comp.Off[i+1] = int64(len(comp.Col))
+		if child+1 < n && col[child] < col[child+1] {
+			child++
+		}
+		if col[root] >= col[child] {
+			return
+		}
+		col[root], col[child] = col[child], col[root]
+		val[root], val[child] = val[child], val[root]
+		root = child
 	}
+}
 
-	// Translate the source. A global ID outside the composite behaves like
-	// an out-of-range slot in the single-shard kernels (nothing reached).
-	csrc := uint64(len(gids))
-	if ci, ok := cidx[src]; ok {
-		csrc = ci
+// forEachGhost enumerates the ghost registry under its read lock. Reverse
+// entries are never removed, so a slot that ever held a ghost is reliably
+// excluded even if the ghost was since deleted (its slot is then just a
+// hole, same as any deleted node).
+func (c *Cluster) forEachGhost(fn func(s int, local graph.NodeID, gid uint64)) {
+	c.ghostMu.RLock()
+	defer c.ghostMu.RUnlock()
+	for s, rev := range c.ghostRev {
+		for l, g := range rev {
+			fn(s, l, g)
+		}
 	}
+}
 
-	out, err := analytics.Run(analytics.CSRGraph{C: comp}, string(kind), csrc, c.opts.PageRankIters, c.opts.Damping)
+// runComposite executes the kernel on a built composite. No shard is
+// pinned: the composite shares no memory with the replicas.
+func (c *Cluster) runComposite(comp *composite, included []bool, w []mvto.TS, kind htap.AnalyticsKind, class string, src uint64, start time.Time) (*StitchResult, error) {
+	// A global ID outside the composite behaves like an out-of-range slot
+	// in the single-shard kernels (nothing reached).
+	csrc, ok := comp.vertex(src)
+	if !ok {
+		csrc = uint64(len(comp.gids))
+	}
+	out, err := analytics.Run(analytics.CSRGraph{C: comp.csr}, string(kind), csrc, c.opts.PageRankIters, c.opts.Damping)
 	if err != nil {
 		return nil, fmt.Errorf("shard: stitched kernel: %w", err)
 	}
@@ -270,41 +374,27 @@ func (c *Cluster) stitchAndRun(views []analytics.Graph, w []mvto.TS, kind htap.A
 	res := &StitchResult{
 		Kind:       kind,
 		Watermark:  append([]mvto.TS(nil), w...),
-		GlobalIDs:  gids,
-		CSR:        comp,
+		GlobalIDs:  comp.gids,
+		CSR:        comp.csr,
 		Levels:     out.Levels,
 		Dists:      out.Dists,
 		Ranks:      out.Ranks,
 		Comp:       out.Comp,
 		Coef:       out.Coef,
 		Work:       out.Work,
-		Edges:      edges,
-		OwnedEdges: owned,
+		Edges:      comp.csr.NumEdges(),
+		OwnedEdges: comp.owned,
 		HostWall:   time.Since(start),
 	}
 
 	// Simulated device time: each participating shard launches the kernel
 	// over its owned share of the traversed work concurrently; the stitched
 	// request is as slow as its slowest shard.
-	if edges > 0 {
-		for s, d := range c.domains {
-			if views[s] == nil {
-				continue
-			}
-			share := out.Work.Edges * float64(owned[s]) / float64(edges)
-			kt, err := d.Engine().Device().Launch(class, share)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: kernel launch: %w", s, err)
-			}
-			if kt > res.KernelSim {
-				res.KernelSim = kt
-			}
+	for s, d := range c.domains {
+		if !included[s] {
+			continue
 		}
-	} else {
-		for s, d := range c.domains {
-			if views[s] == nil {
-				continue
-			}
+		if res.Edges == 0 {
 			kt, err := d.Engine().Device().Launch(class, 0)
 			if err != nil {
 				return nil, fmt.Errorf("shard: kernel launch: %w", err)
@@ -312,6 +402,12 @@ func (c *Cluster) stitchAndRun(views []analytics.Graph, w []mvto.TS, kind htap.A
 			res.KernelSim = kt
 			break
 		}
+		share := out.Work.Edges * float64(comp.owned[s]) / float64(res.Edges)
+		kt, err := d.Engine().Device().Launch(class, share)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: kernel launch: %w", s, err)
+		}
+		res.KernelSim = max(res.KernelSim, kt)
 	}
 	return res, nil
 }
