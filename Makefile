@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: verify build vet test race crash crash-full fuzz-smoke fault-soak shard-soak obs-smoke server-smoke reqtrace-soak bench-record verify-bench clean
+.PHONY: verify build vet test race race-stress flake crash crash-full fuzz-smoke fault-soak shard-soak obs-smoke server-smoke reqtrace-soak bench-record verify-bench clean
 
 # verify is the CI entry point: static checks, the full test suite, race
 # detection on the concurrency-heavy packages, a short-budget crash-point
 # enumeration (an evenly spaced sample of injected crashes; run crash-full
-# for every point), the live observability-endpoint smoke, and the network
-# service-layer smoke.
-verify: vet build test race crash obs-smoke server-smoke
+# for every point), the repeated crash and race-stress runs of flake, the
+# live observability-endpoint smoke, and the network service-layer smoke.
+verify: vet build test race crash flake obs-smoke server-smoke
 
 build:
 	$(GO) build ./...
@@ -26,15 +26,23 @@ test:
 # (read-only participants, one writer, two-phase), and repeated propagation
 # stress (committers and an analyst racing propagation cycles on every
 # replica kind: the replica lock must cover every kernel read). Crash
-# enumeration runs with the -short budget here: its full sweeps
-# (single-domain + 2PC) are minutes-long even without the race detector and
-# have their own targets (crash-full).
-race:
+# enumeration runs with the -short budget here; its full sweeps have their
+# own target (crash-full).
+race: race-stress
 	$(GO) test -race -short ./internal/crashtest
+	$(GO) test -race $$($(GO) list ./... | grep -v internal/crashtest)
+
+# race-stress repeats the concurrency stress tests under the race detector.
+race-stress:
 	$(GO) test -race -run 'TestGroupCommit' -count 4 ./internal/wal
 	$(GO) test -race -run 'TestCrossShard' -count 4 ./internal/shard
 	$(GO) test -race -run 'TestEnginePropagateRaceStress' -count 4 ./internal/htap
-	$(GO) test -race $$($(GO) list ./... | grep -v internal/crashtest)
+
+# flake repeats the -short crash enumerations (concurrent group commits
+# included) twenty times, plus the race stresses, to catch intermittent
+# failures.
+flake: race-stress
+	$(GO) test -count 20 -short ./internal/crashtest
 
 # bench-record stores the propagation benchmark series (Fig 10 kernels plus
 # the parallel-merge ablation and the shard-scaling series), the durable

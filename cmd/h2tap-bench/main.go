@@ -117,9 +117,6 @@ func main() {
 		cenc := json.NewEncoder(w)
 		cfg.OnCycle = func(rep *htap.PropagationReport) {
 			line := cycleLine{Type: "cycle", Health: rep.Health.String(), Report: rep}
-			if rep.PersistErr != nil {
-				line.PersistErr = rep.PersistErr.Error()
-			}
 			outMu.Lock()
 			defer outMu.Unlock()
 			if err := cenc.Encode(line); err != nil {
@@ -171,12 +168,11 @@ func main() {
 
 // cycleLine is the per-propagation-cycle JSON record emitted by -json /
 // -cyclelog: the full report (phase walls, predicted costs, staleness)
-// plus flattened health and persist-error strings.
+// plus the flattened health string.
 type cycleLine struct {
-	Type       string                  `json:"type"`
-	Health     string                  `json:"health"`
-	PersistErr string                  `json:"persist_err,omitempty"`
-	Report     *htap.PropagationReport `json:"report"`
+	Type   string                  `json:"type"`
+	Health string                  `json:"health"`
+	Report *htap.PropagationReport `json:"report"`
 }
 
 // faultSoak hammers the propagation pipeline with randomized GPU faults:

@@ -36,7 +36,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:0 for ephemeral)")
 		persist      = flag.String("persist", "", "persistence directory (empty = volatile)")
-		poolSize     = flag.Int64("pool-size", 0, "persistent pool size in bytes (0 = 1 GiB default)")
 		syncWAL      = flag.Bool("sync-wal", false, "fsync the WAL on every commit batch")
 		gcMaxBatch   = flag.Int("gc-max-batch", 0, "max commits per WAL group-commit batch (0 = default 64, 1 = serialized)")
 		replica      = flag.String("replica", "static", "replica kind: static | dynamic")
@@ -61,13 +60,12 @@ func main() {
 	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
 
 	opts := h2tap.Options{
-		PersistDir:      *persist,
-		PersistPoolSize: *poolSize,
-		SyncWAL:         *syncWAL,
-		GroupCommit:     h2tap.GroupCommit{MaxBatch: *gcMaxBatch},
-		Shards:          *shards,
-		Undirected:      *undirected,
-		DeltaHighWater:  *highWater,
+		PersistDir:     *persist,
+		SyncWAL:        *syncWAL,
+		GroupCommit:    h2tap.GroupCommit{MaxBatch: *gcMaxBatch},
+		Shards:         *shards,
+		Undirected:     *undirected,
+		DeltaHighWater: *highWater,
 	}
 	if *replica == "dynamic" {
 		opts.Replica = h2tap.DynamicHash

@@ -5,8 +5,10 @@
 // consumed, pending ones stay pending) and the CSR is loaded rather than
 // rebuilt.
 //
-// This example drives the internal packages directly to show the recovery
-// machinery; the h2tap facade wires the same pieces via Options.PersistDir.
+// This example drives the internal packages directly: the persistent delta
+// store and CSR copy are the paper's §6.5 mechanism, which the experiments
+// measure. The h2tap facade's durable mode (Options.PersistDir) does not use
+// them; it recovers from its write-ahead log.
 package main
 
 import (

@@ -39,11 +39,10 @@ func TestSyncWALGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	o := NewObserver()
 	db, err := Open(Options{
-		PersistDir:      dir,
-		PersistPoolSize: 8 << 20,
-		SyncWAL:         true,
-		GroupCommit:     GroupCommit{MaxBatch: 8},
-		Observer:        o,
+		PersistDir:  dir,
+		SyncWAL:     true,
+		GroupCommit: GroupCommit{MaxBatch: 8},
+		Observer:    o,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ package h2tap
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,6 @@ import (
 	"h2tap/internal/htap"
 	"h2tap/internal/mvto"
 	"h2tap/internal/obs"
-	"h2tap/internal/pmem"
 	"h2tap/internal/shard"
 	"h2tap/internal/sim"
 	"h2tap/internal/vfs"
@@ -149,10 +147,13 @@ type Options struct {
 	// have no orientation, appear in both endpoints' adjacency, and commit
 	// two deltas each (§5.1).
 	Undirected bool
-	// PersistDir, when non-empty, stores the delta store and the recovery
-	// CSR copy in simulated persistent memory under this directory (§6.5).
+	// PersistDir, when non-empty, makes the database durable: every commit
+	// is appended to a write-ahead log under this directory, Checkpoint
+	// compacts it, and Open replays it. The delta store stays in memory;
+	// after a restart the first replica build starts from the replayed
+	// graph.
 	PersistDir string
-	// PersistPoolSize bounds each persistent pool (default 1 GiB).
+	// PersistPoolSize is ignored; it is kept so existing callers compile.
 	PersistPoolSize int64
 	// EnableCostModel calibrates the §6.4 cost model when the analytics
 	// engine starts and lets the delta store switch to rebuild mode past
@@ -172,8 +173,8 @@ type Options struct {
 	// to every log the database writes — the main-graph WAL, per-shard
 	// WALs, and the cross-shard coordinator decision log.
 	GroupCommit GroupCommit
-	// FS overrides the filesystem the WAL and persistent pools use (nil
-	// selects the real one). The crash-fault harness injects one here.
+	// FS overrides the filesystem the WAL uses (nil selects the real one).
+	// The crash-fault harness injects one here.
 	FS FS
 	// Retry bounds device-fault retries within a propagation cycle
 	// (zero fields select the defaults: 3 attempts, 1ms backoff doubling
@@ -208,9 +209,7 @@ type DB struct {
 	// cluster is set instead of the fields above when Options.Shards > 1.
 	cluster *shard.Cluster
 
-	deltaPool *pmem.Pool
-	csrPool   *pmem.Pool
-	wal       *wal.Log
+	wal *wal.Log
 
 	engineOnce sync.Once
 	engine     *htap.Engine
@@ -223,26 +222,6 @@ type DB struct {
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// poolsSentinel marks a fully initialized pool pair. It is created (and its
-// directory fsynced) only after both pools and the delta store root exist,
-// so a crash anywhere inside initialization — including between the two
-// pool creations — is detected on the next Open and the partial pools are
-// recreated rather than half-recovered.
-const poolsSentinel = "pools.ok"
-
-// deltaGuard aborts commits once the persistent delta store has hit a PMem
-// write failure: continuing would let the volatile store diverge from what
-// a recovery could rebuild. It is registered before the WAL logger, so a
-// broken persistence layer stops commits before they reach the log.
-type deltaGuard struct{ ds *deltastore.Store }
-
-func (g deltaGuard) LogCommit(mvto.TS, []graph.LoggedOp) error {
-	if err := g.ds.PersistErr(); err != nil {
-		return fmt.Errorf("h2tap: persistent delta store failed: %w", err)
-	}
-	return nil
 }
 
 // ErrBackpressure rejects a commit because the analytics engine is Degraded
@@ -274,140 +253,71 @@ func (g backpressureGuard) LogCommit(mvto.TS, []graph.LoggedOp) error {
 // or BulkLoad, then run analytics; the replica engine starts lazily on the
 // first analytics call (or explicitly via StartEngine).
 //
-// With PersistDir set, Open is also the recovery path (§6.5): the main
-// graph is replayed from its write-ahead log (torn tails trimmed, interior
-// corruption rejected with wal.ErrCorrupt), the persistent delta store
-// resumes at its durable prefix, and the first replica build consumes
-// whatever that prefix already covers.
-func Open(opts Options) (_ *DB, err error) {
+// With PersistDir set, Open is also the recovery path: the main graph is
+// replayed from its write-ahead log (torn tails trimmed, interior
+// corruption rejected with wal.ErrCorrupt) and appends resume at its end.
+func Open(opts Options) (*DB, error) {
 	if opts.Shards > 1 {
 		return openSharded(opts)
 	}
-	db := &DB{opts: opts}
+	db := &DB{opts: opts, ds: deltastore.NewVolatile()}
 	if opts.Undirected {
 		db.store = graph.NewUndirectedStore()
 	} else {
 		db.store = graph.NewStore()
 	}
-	if opts.PersistDir == "" {
-		db.ds = deltastore.NewVolatile()
-		if opts.DeltaHighWater > 0 {
-			db.store.AddOpLogger(backpressureGuard{db})
-		}
-		db.store.AddCapturer(db.ds)
-		return db, nil
-	}
-
-	// A failed Open must not leak the handles it already acquired: close
-	// pools and log before reporting the error.
-	defer func() {
-		if err == nil {
-			return
-		}
-		if db.wal != nil {
-			db.wal.Close()
-		}
-		for _, p := range []*pmem.Pool{db.deltaPool, db.csrPool} {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = vfs.OS()
-	}
-	size := opts.PersistPoolSize
-	if size == 0 {
-		size = 1 << 30
-	}
-	if err := fsys.MkdirAll(opts.PersistDir, 0o755); err != nil {
-		return nil, fmt.Errorf("h2tap: persist dir: %w", err)
-	}
-	deltaPath := filepath.Join(opts.PersistDir, "delta.pool")
-	csrPath := filepath.Join(opts.PersistDir, "csr.pool")
-	walPath := filepath.Join(opts.PersistDir, "graph.wal")
-	sentinelPath := filepath.Join(opts.PersistDir, poolsSentinel)
-
-	// Delta-store pools first: a fresh pair is only trusted once the
-	// sentinel exists, so partially created pools from a mid-init crash are
-	// wiped and rebuilt instead of opened.
-	if _, serr := fsys.Stat(sentinelPath); serr == nil {
-		// Existing pools: recover (§6.5 instant recovery). The delta store
-		// resumes with its durable records; the engine's initial replica
-		// build consumes whatever the replica already covers.
-		if db.deltaPool, err = pmem.OpenOn(fsys, deltaPath, sim.DefaultPMem()); err != nil {
-			return nil, err
-		}
-		if db.csrPool, err = pmem.OpenOn(fsys, csrPath, sim.DefaultPMem()); err != nil {
-			return nil, err
-		}
-		if db.ds, err = deltastore.OpenPersistent(db.deltaPool); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, stale := range []string{deltaPath, csrPath} {
-			if _, err := fsys.Stat(stale); err == nil {
-				if err := fsys.Remove(stale); err != nil {
-					return nil, fmt.Errorf("h2tap: remove partial pool: %w", err)
-				}
-			}
-		}
-		if db.deltaPool, err = pmem.CreateOn(fsys, deltaPath, size, sim.DefaultPMem()); err != nil {
-			return nil, err
-		}
-		if db.csrPool, err = pmem.CreateOn(fsys, csrPath, size, sim.DefaultPMem()); err != nil {
-			return nil, err
-		}
-		if db.ds, err = deltastore.NewPersistent(db.deltaPool); err != nil {
-			return nil, err
-		}
-		if err := writeSentinel(fsys, sentinelPath, opts.PersistDir); err != nil {
+	if opts.PersistDir != "" {
+		if err := db.recoverWAL(); err != nil {
 			return nil, err
 		}
 	}
-
-	// A checkpoint that crashed before its rename leaves graph.wal.tmp
-	// behind. The live log is still intact (the rename is the commit point),
-	// so the leftover is garbage: remove it so no later checkpoint or
-	// inspection can mistake its stale records for durable state.
-	walTmp := walPath + ".tmp"
-	if _, serr := fsys.Stat(walTmp); serr == nil {
-		if err := fsys.Remove(walTmp); err != nil {
-			return nil, fmt.Errorf("h2tap: remove stale checkpoint temp: %w", err)
-		}
-	}
-
-	if _, err := fsys.Stat(walPath); err == nil {
-		// Recover the main graph from its write-ahead log before anything
-		// else touches the store, trimming any torn tail so appends resume
-		// at the last valid record boundary.
-		st, err := wal.ReplayFS(fsys, walPath, db.store)
-		if err != nil {
-			return nil, fmt.Errorf("h2tap: main graph recovery: %w", err)
-		}
-		if st.TornTail {
-			if err := wal.Trim(fsys, walPath, st.ValidLen); err != nil {
-				return nil, fmt.Errorf("h2tap: main graph recovery: %w", err)
-			}
-		}
-	}
-	if db.wal, err = wal.Open(walPath, wal.Options{
-		SyncEveryCommit: opts.SyncWAL,
-		GroupCommit:     opts.GroupCommit,
-		FS:              fsys,
-	}); err != nil {
-		return nil, err
-	}
-	db.store.AddOpLogger(deltaGuard{db.ds})
+	// The backpressure guard runs before the WAL logger, so a rejected
+	// commit never reaches the log.
 	if opts.DeltaHighWater > 0 {
 		db.store.AddOpLogger(backpressureGuard{db})
 	}
-	db.store.AddOpLogger(db.wal)
+	if db.wal != nil {
+		db.store.AddOpLogger(db.wal)
+		db.wireWALObs()
+	}
 	db.store.AddCapturer(db.ds)
-	db.wireWALObs()
 	return db, nil
+}
+
+// recoverWAL replays the main graph from PersistDir's write-ahead log, if
+// there is one, trimming any torn tail so appends resume at the last valid
+// record boundary, and opens the log for appends.
+func (db *DB) recoverWAL() error {
+	fsys := db.opts.FS
+	if fsys == nil {
+		fsys = vfs.OS()
+	}
+	dir := db.opts.PersistDir
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("h2tap: persist dir: %w", err)
+	}
+	if err := shard.RemoveStale(fsys, dir); err != nil {
+		return fmt.Errorf("h2tap: %w", err)
+	}
+	walPath := filepath.Join(dir, "graph.wal")
+	if _, err := fsys.Stat(walPath); err == nil {
+		st, err := wal.ReplayFS(fsys, walPath, db.store)
+		if err != nil {
+			return fmt.Errorf("h2tap: main graph recovery: %w", err)
+		}
+		if st.TornTail {
+			if err := wal.Trim(fsys, walPath, st.ValidLen); err != nil {
+				return fmt.Errorf("h2tap: main graph recovery: %w", err)
+			}
+		}
+	}
+	var err error
+	db.wal, err = wal.Open(walPath, wal.Options{
+		SyncEveryCommit: db.opts.SyncWAL,
+		GroupCommit:     db.opts.GroupCommit,
+		FS:              fsys,
+	})
+	return err
 }
 
 // wireWALObs registers the WAL's pull-based counters with the observer.
@@ -474,25 +384,6 @@ func (db *DB) ServeObs(addr string) (*ObsServer, error) {
 	return srv, nil
 }
 
-// writeSentinel durably creates the pools-initialized marker.
-func writeSentinel(fsys vfs.FS, path, dir string) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("h2tap: pool sentinel: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("h2tap: pool sentinel sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("h2tap: pool sentinel close: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("h2tap: pool sentinel dir sync: %w", err)
-	}
-	return nil
-}
-
 // Begin starts a read-write transaction on the main graph. On a sharded
 // database it panics (it cannot report an error): use BeginSharded, whose
 // transactions speak global IDs and commit atomically across shards.
@@ -526,7 +417,6 @@ func (db *DB) StartEngine() error {
 			Device:        db.opts.Device,
 			PageRankIters: db.opts.PageRankIters,
 			Damping:       db.opts.Damping,
-			PersistPool:   db.csrPool,
 			Retry:         db.opts.Retry,
 			HighWater:     db.opts.DeltaHighWater,
 			Obs:           db.opts.Observer,
@@ -582,15 +472,10 @@ func (db *DB) Submit(kind AnalyticsKind, src NodeID) (*Ticket, error) {
 	return db.queue.Submit(kind, src)
 }
 
-// Propagate forces one update-propagation cycle. With a persistent delta
-// store, a latched PMem failure surfaces here (and at commit) rather than
-// propagating deltas whose durable image has diverged.
+// Propagate forces one update-propagation cycle.
 func (db *DB) Propagate() (*PropagationReport, error) {
 	if db.cluster != nil {
 		return db.shardedPropagate()
-	}
-	if err := db.ds.PersistErr(); err != nil {
-		return nil, fmt.Errorf("h2tap: persistent delta store failed: %w", err)
 	}
 	if err := db.StartEngine(); err != nil {
 		return nil, err
@@ -742,9 +627,9 @@ func (db *DB) Checkpoint() error {
 	return nil
 }
 
-// Close shuts the queue down and closes the write-ahead log and persistent
-// pools. Close is idempotent: second and later calls return the first
-// call's result without touching the already-closed handles.
+// Close shuts the queue down and closes the write-ahead log. Close is
+// idempotent: second and later calls return the first call's result without
+// touching the already-closed handles.
 func (db *DB) Close() error {
 	if db.cluster != nil {
 		return db.cluster.Close()
@@ -759,25 +644,9 @@ func (db *DB) Close() error {
 		}
 		db.obsSrvs = nil
 		db.obsMu.Unlock()
-		var firstErr error
 		if db.wal != nil {
-			if err := db.wal.Close(); err != nil {
-				firstErr = err
-			}
+			db.closeErr = db.wal.Close()
 		}
-		for _, p := range []*pmem.Pool{db.deltaPool, db.csrPool} {
-			if p != nil {
-				if err := p.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		if firstErr == nil {
-			// Surface a latched delta-persistence failure even if the
-			// handles closed cleanly: the durable image is stale.
-			firstErr = db.ds.PersistErr()
-		}
-		db.closeErr = firstErr
 	})
 	return db.closeErr
 }

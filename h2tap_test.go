@@ -100,7 +100,7 @@ func TestDeltasBeforeEngineStartNotReapplied(t *testing.T) {
 
 func TestPersistentOptions(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{PersistDir: dir, PersistPoolSize: 32 << 20})
+	db, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,6 @@ func TestPersistentOptions(t *testing.T) {
 	b, _ := tx.AddNode("P", nil)
 	tx.AddRel(a, b, "knows", 1)
 	tx.Commit()
-	if !db.DeltaStore().Persistent() {
-		t.Fatal("persistent option did not produce a persistent delta store")
-	}
 	if _, err := db.RunAnalytics(PageRank, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestSubmitQueue(t *testing.T) {
 
 func TestPersistDirReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{PersistDir: dir, PersistPoolSize: 32 << 20})
+	db, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,24 +208,28 @@ func TestPersistDirReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: the persistent delta store must recover its records instead
-	// of being truncated.
+	// Reopen: the graph comes back from the WAL and the delta store starts
+	// empty — the first replica build covers the replayed graph.
 	db2, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := db2.Stats().DeltaRecords; got != recs {
-		t.Fatalf("recovered %d delta records, want %d", got, recs)
+	if got := db2.Stats().DeltaRecords; got != 0 {
+		t.Fatalf("reopened delta store holds %d records, want 0", got)
 	}
-	if !db2.DeltaStore().Persistent() {
-		t.Fatal("reopened store not persistent")
+	res, err := db2.RunAnalytics(BFS, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Levels[a] != 0 || res.Levels[b] != 1 {
+		t.Fatalf("BFS after reopen = %v, want a at level 0 and b at 1", res.Levels)
 	}
 }
 
 func TestFullDurabilityAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{PersistDir: dir, PersistPoolSize: 32 << 20})
+	db, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +242,8 @@ func TestFullDurabilityAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: the main graph recovers from the WAL, the delta store from
-	// its pool; analytics work immediately on the recovered state.
+	// Restart: the main graph recovers from the WAL; analytics work
+	// immediately on the recovered state.
 	db2, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +276,7 @@ func TestFullDurabilityAcrossRestart(t *testing.T) {
 
 func TestCheckpointThroughFacade(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{PersistDir: dir, PersistPoolSize: 32 << 20})
+	db, err := Open(Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func cfCheck(db *h2tap.DB, ffs *faultinject.FS, dir string, perShard [][]uint64,
 	if err := db.Close(); err != nil {
 		return 1, fmt.Errorf("close: %w", err)
 	}
-	db2, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: dir, PersistPoolSize: poolSize})
+	db2, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: dir})
 	if err != nil {
 		return 1, fmt.Errorf("restart: %w", err)
 	}
@@ -233,7 +233,7 @@ func cfCheck(db *h2tap.DB, ffs *faultinject.FS, dir string, perShard [][]uint64,
 	if err := db2.Close(); err != nil {
 		return 1, fmt.Errorf("second close: %w", err)
 	}
-	db3, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: dir, PersistPoolSize: poolSize})
+	db3, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: dir})
 	if err != nil {
 		return 1, fmt.Errorf("second restart: %w", err)
 	}

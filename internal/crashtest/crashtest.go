@@ -9,9 +9,6 @@
 //     commits that had completed when the crash hit, or that plus one (the
 //     in-flight commit's log record may or may not have become durable —
 //     never a torn half-state, never a lost completed commit).
-//   - Consistent durable delta store: the persistent delta store re-opens at
-//     a transaction boundary (deltastore.Validate passes — every durable
-//     record fully published, payload ranges covered by durable arrays).
 //   - Service resumes: a post-recovery commit succeeds, a propagation
 //     yields a replica identical to a CSR built fresh from the recovered
 //     main graph, and a checkpoint compacts the log — even when the crash
@@ -40,10 +37,6 @@ import (
 	"h2tap/internal/shard"
 	"h2tap/internal/vfs"
 )
-
-// poolSize keeps the per-run persistent pools small: one chunk per delta
-// vector (the records chunk dominates at ~768 KiB) plus CSR copies.
-const poolSize = 4 << 20
 
 // Result records the outcome of one injected crash.
 type Result struct {
@@ -75,9 +68,10 @@ type Report struct {
 // committed and the canonical fingerprint after each (fps[m] is the state
 // after m commits; fps[0] is the empty database).
 type runState struct {
-	completed int
-	fps       []string
-	commits   [shard.NumCommitPaths]uint64 // sharded workload: commits per path
+	completed   int
+	checkpoints int // single-domain workload: completed checkpoints
+	fps         []string
+	commits     [shard.NumCommitPaths]uint64 // sharded workload: commits per path
 }
 
 // Fingerprint renders the committed graph state as a canonical string:
@@ -114,12 +108,12 @@ func propsKey(props map[string]graph.Value) string {
 	return sb.String()
 }
 
-// workload is the deterministic scenario every run replays: seven
-// transactions exercising inserts, property updates and deletes, three
-// update propagations, and one checkpoint, all against a persistent
-// database on fsys. It bails out at the first error (the injected crash)
-// and records progress in st as it goes, so a crashed run still reports how
-// many commits completed.
+// workload is the deterministic scenario every run replays: nine
+// transactions exercising inserts, property updates and deletes (of
+// relationships and of a node), three update propagations, and two
+// checkpoints, all against a persistent database on fsys. It bails out at
+// the first error (the injected crash) and records progress in st as it
+// goes, so a crashed run still reports how many commits completed.
 func workload(dir string, fsys vfs.FS, st *runState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -127,10 +121,9 @@ func workload(dir string, fsys vfs.FS, st *runState) (err error) {
 		}
 	}()
 	db, err := h2tap.Open(h2tap.Options{
-		PersistDir:      dir,
-		PersistPoolSize: poolSize,
-		SyncWAL:         true,
-		FS:              fsys,
+		PersistDir: dir,
+		SyncWAL:    true,
+		FS:         fsys,
 	})
 	if err != nil {
 		return err
@@ -151,9 +144,17 @@ func workload(dir string, fsys vfs.FS, st *runState) (err error) {
 		st.fps = append(st.fps, Fingerprint(db.Store()))
 		return nil
 	}
+	checkpoint := func() error {
+		if err := db.Checkpoint(); err != nil {
+			return err
+		}
+		st.checkpoints++
+		return nil
+	}
 
 	// IDs are allocated sequentially, so they are identical across runs:
-	// nodes a=0 b=1 c=2 d=3, rels a->b=0 b->c=1 c->a=2 a->c=3 d->a=4 b->a=5.
+	// nodes a=0 b=1 c=2 d=3 e=4, rels a->b=0 b->c=1 c->a=2 a->c=3 d->a=4
+	// b->a=5 e->b=6.
 	var a, b, c, d h2tap.NodeID
 	if err := commit(func(tx *h2tap.Tx) error {
 		var err error
@@ -198,7 +199,7 @@ func workload(dir string, fsys vfs.FS, st *runState) (err error) {
 	}); err != nil {
 		return err
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err := checkpoint(); err != nil {
 		return err
 	}
 	if err := commit(func(tx *h2tap.Tx) error {
@@ -228,23 +229,70 @@ func workload(dir string, fsys vfs.FS, st *runState) (err error) {
 	}); err != nil {
 		return err
 	}
+	// The second checkpoint snapshots a log that already starts with one.
+	if err := checkpoint(); err != nil {
+		return err
+	}
+	if err := commit(func(tx *h2tap.Tx) error {
+		return tx.DeleteNode(d) // takes d->a with it
+	}); err != nil {
+		return err
+	}
+	if err := commit(func(tx *h2tap.Tx) error {
+		e, err := tx.AddNode("City", map[string]h2tap.Value{"pop": h2tap.Int(20)})
+		if err != nil {
+			return err
+		}
+		_, err = tx.AddRel(e, b, "in", 2)
+		return err
+	}); err != nil {
+		return err
+	}
 	if _, err := db.Propagate(); err != nil {
 		return err
 	}
 	return db.Close()
 }
 
-// GoldenRun replays the workload with no faults on a counting filesystem,
-// returning the total number of persist points and the fingerprint after
-// each committed transaction. Running it twice on fresh directories must
-// yield identical results — the determinism the enumeration relies on.
-func GoldenRun(dir string) (points int64, fps []string, err error) {
+// Golden is a fault-free run of a workload.
+type Golden struct {
+	// OpPaths names the file of every persist operation, relative to the
+	// database directory: OpPaths[i] is operation i+1.
+	OpPaths []string
+	// Fps is the fingerprint after each committed transaction (Fps[0] is
+	// the empty database).
+	Fps []string
+	// Checkpoints counts the single-domain workload's checkpoints.
+	Checkpoints int
+	// Commits counts the sharded workload's transactions per commit path.
+	Commits [shard.NumCommitPaths]uint64
+}
+
+// Points is the workload's persist-point count.
+func (g *Golden) Points() int64 { return int64(len(g.OpPaths)) }
+
+// GoldenRun replays the single-domain workload with no faults. Running it
+// twice on fresh directories must yield identical results — the
+// determinism the enumeration relies on.
+func GoldenRun(dir string) (*Golden, error) { return goldenRun(dir, workload) }
+
+// goldenRun replays run on a counting filesystem that records the path of
+// every persist operation.
+func goldenRun(dir string, run func(string, vfs.FS, *runState) error) (*Golden, error) {
 	cfs := faultinject.New(vfs.OS())
+	cfs.RecordPaths()
 	var st runState
-	if err := workload(dir, cfs, &st); err != nil {
-		return 0, nil, err
+	if err := run(dir, cfs, &st); err != nil {
+		return nil, err
 	}
-	return cfs.Ops(), st.fps, nil
+	g := &Golden{Fps: st.fps, Checkpoints: st.checkpoints, Commits: st.commits}
+	for _, p := range cfs.OpPaths() {
+		if rel, err := filepath.Rel(dir, p); err == nil {
+			p = rel
+		}
+		g.OpPaths = append(g.OpPaths, filepath.ToSlash(p))
+	}
+	return g, nil
 }
 
 // RunPoint crashes the workload at the given persist operation, recovers
@@ -267,7 +315,7 @@ func RunPoint(dir string, point int64, tear faultinject.TearMode, golden []strin
 // asserts the recovery invariants. It returns the number of committed
 // transactions the recovered state corresponds to.
 func recoverAndCheck(dir string, golden []string, completed int) (int, error) {
-	db, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: poolSize})
+	db, err := h2tap.Open(h2tap.Options{PersistDir: dir})
 	if err != nil {
 		return -1, fmt.Errorf("recovery open: %w", err)
 	}
@@ -290,60 +338,53 @@ func recoverAndCheck(dir string, golden []string, completed int) (int, error) {
 	if m < completed || m > completed+1 {
 		return m, fmt.Errorf("recovered %d committed transactions, want %d or %d", m, completed, completed+1)
 	}
-
-	// The durable delta image must sit at a transaction boundary.
-	if err := db.DeltaStore().Validate(); err != nil {
-		return m, fmt.Errorf("durable delta image inconsistent: %w", err)
-	}
-
-	// Service resumes: one more transaction, then a propagation whose
-	// replica matches a CSR built fresh from the recovered main graph.
-	tx := db.Begin()
-	id, err := tx.AddNode("Probe", map[string]h2tap.Value{"m": h2tap.Int(int64(m))})
-	if err != nil {
-		tx.Abort()
-		return m, fmt.Errorf("post-recovery insert: %w", err)
-	}
-	if m > 0 {
-		// Node 0 exists from the first commit on and is never deleted.
-		if _, err := tx.AddRel(id, 0, "probe", 1); err != nil {
-			tx.Abort()
-			return m, fmt.Errorf("post-recovery insert: %w", err)
+	return m, resumeService(db, dir, func(tx *h2tap.Tx) error {
+		id, err := tx.AddNode("Probe", map[string]h2tap.Value{"m": h2tap.Int(int64(m))})
+		if err == nil && m > 0 {
+			// Node 0 exists from the first commit on and is never deleted.
+			_, err = tx.AddRel(id, 0, "probe", 1)
 		}
+		return err
+	})
+}
+
+// resumeService asserts that a recovered database serves again: the probe
+// transaction commits, a propagation yields a replica equal to a CSR built
+// fresh from the recovered graph, a checkpoint succeeds — also when the
+// crash interrupted one mid-flight and left its temp file, which must not
+// poison the new snapshot — and the probe survives a second restart that
+// replays the checkpointed log. It closes db.
+func resumeService(db *h2tap.DB, dir string, probe func(*h2tap.Tx) error) error {
+	tx := db.Begin()
+	if err := probe(tx); err != nil {
+		tx.Abort()
+		return fmt.Errorf("post-recovery insert: %w", err)
 	}
 	if err := tx.Commit(); err != nil {
-		return m, fmt.Errorf("post-recovery commit: %w", err)
+		return fmt.Errorf("post-recovery commit: %w", err)
 	}
 	if _, err := db.Propagate(); err != nil {
-		return m, fmt.Errorf("post-recovery propagation: %w", err)
+		return fmt.Errorf("post-recovery propagation: %w", err)
 	}
-	want := csr.Build(db.Store(), db.SnapshotTS())
-	if !csr.Equal(db.Engine().HostCSR(), want) {
-		return m, errors.New("post-recovery replica diverges from main graph")
+	if !csr.Equal(db.Engine().HostCSR(), csr.Build(db.Store(), db.SnapshotTS())) {
+		return errors.New("post-recovery replica diverges from main graph")
 	}
-
-	// Checkpointing must work on the recovered database too — in particular
-	// when the crash interrupted a checkpoint mid-flight, the leftover temp
-	// file must not poison the new snapshot (the second restart below would
-	// then see a corrupt or stale log).
 	if err := db.Checkpoint(); err != nil {
-		return m, fmt.Errorf("post-recovery checkpoint: %w", err)
+		return fmt.Errorf("post-recovery checkpoint: %w", err)
 	}
-
-	// Durability holds again: the probe commit survives a second restart.
 	after := Fingerprint(db.Store())
 	if err := db.Close(); err != nil {
-		return m, fmt.Errorf("close after recovery: %w", err)
+		return fmt.Errorf("close after recovery: %w", err)
 	}
-	db2, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: poolSize})
+	db2, err := h2tap.Open(h2tap.Options{PersistDir: dir})
 	if err != nil {
-		return m, fmt.Errorf("second recovery: %w", err)
+		return fmt.Errorf("second recovery: %w", err)
 	}
 	defer db2.Close()
 	if Fingerprint(db2.Store()) != after {
-		return m, errors.New("post-recovery commit lost across a second restart")
+		return errors.New("post-recovery commit lost across a second restart")
 	}
-	return m, nil
+	return nil
 }
 
 // Enumerate runs the golden workload, then crashes it at every persist
@@ -353,10 +394,11 @@ func recoverAndCheck(dir string, golden []string, completed int) (int, error) {
 // write-through crash model). Each crash gets a fresh directory under
 // baseDir.
 func Enumerate(baseDir string, maxPerMode int, tears []faultinject.TearMode) (*Report, error) {
-	points, golden, err := GoldenRun(filepath.Join(baseDir, "golden"))
+	g, err := GoldenRun(filepath.Join(baseDir, "golden"))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: golden run: %w", err)
 	}
+	points := g.Points()
 	if len(tears) == 0 {
 		tears = []faultinject.TearMode{faultinject.TearAll, faultinject.TearHalf}
 	}
@@ -364,7 +406,7 @@ func Enumerate(baseDir string, maxPerMode int, tears []faultinject.TearMode) (*R
 	for _, tear := range tears {
 		for _, p := range samplePoints(points, maxPerMode) {
 			dir := filepath.Join(baseDir, fmt.Sprintf("p%04d-%s", p, tear))
-			res := RunPoint(dir, p, tear, golden)
+			res := RunPoint(dir, p, tear, g.Fps)
 			rep.Results = append(rep.Results, res)
 			if res.Err != nil {
 				rep.Failures++

@@ -16,21 +16,18 @@
 //     recovered commits are a contiguous prefix of its sequence — a later
 //     commit recovered without an earlier one would mean the log reordered
 //     or dropped an acked record.
-//   - The durable delta image validates, service resumes (commit,
-//     propagate, replica equals a fresh CSR, checkpoint), and the
-//     post-recovery commit survives a second restart.
+//   - Service resumes (commit, propagate, replica equals a fresh CSR,
+//     checkpoint), and the post-recovery commit survives a second restart.
 
 package crashtest
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"h2tap"
-	"h2tap/internal/csr"
 	"h2tap/internal/faultinject"
 	"h2tap/internal/vfs"
 )
@@ -84,10 +81,9 @@ func groupCommitWorkload(dir string, fsys vfs.FS, p *gcProgress) (err error) {
 		}
 	}()
 	db, err := h2tap.Open(h2tap.Options{
-		PersistDir:      dir,
-		PersistPoolSize: poolSize,
-		SyncWAL:         true,
-		FS:              fsys,
+		PersistDir: dir,
+		SyncWAL:    true,
+		FS:         fsys,
 	})
 	if err != nil {
 		return err
@@ -140,7 +136,7 @@ func groupCommitWorkload(dir string, fsys vfs.FS, p *gcProgress) (err error) {
 // recoverAndCheckGC re-opens the crashed database on the real filesystem
 // and asserts the group-commit recovery invariants.
 func recoverAndCheckGC(dir string, p *gcProgress) (int, error) {
-	db, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: poolSize})
+	db, err := h2tap.Open(h2tap.Options{PersistDir: dir})
 	if err != nil {
 		return -1, fmt.Errorf("recovery open: %w", err)
 	}
@@ -186,43 +182,10 @@ func recoverAndCheckGC(dir string, p *gcProgress) (int, error) {
 		}
 	}
 
-	if err := db.DeltaStore().Validate(); err != nil {
-		return len(recovered), fmt.Errorf("durable delta image inconsistent: %w", err)
-	}
-
-	// Service resumes.
-	tx := db.Begin()
-	if _, err := tx.AddNode("Probe", nil); err != nil {
-		tx.Abort()
-		return len(recovered), fmt.Errorf("post-recovery insert: %w", err)
-	}
-	if err := tx.Commit(); err != nil {
-		return len(recovered), fmt.Errorf("post-recovery commit: %w", err)
-	}
-	if _, err := db.Propagate(); err != nil {
-		return len(recovered), fmt.Errorf("post-recovery propagation: %w", err)
-	}
-	want := csr.Build(db.Store(), db.SnapshotTS())
-	if !csr.Equal(db.Engine().HostCSR(), want) {
-		return len(recovered), errors.New("post-recovery replica diverges from main graph")
-	}
-	if err := db.Checkpoint(); err != nil {
-		return len(recovered), fmt.Errorf("post-recovery checkpoint: %w", err)
-	}
-
-	after := Fingerprint(db.Store())
-	if err := db.Close(); err != nil {
-		return len(recovered), fmt.Errorf("close after recovery: %w", err)
-	}
-	db2, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: poolSize})
-	if err != nil {
-		return len(recovered), fmt.Errorf("second recovery: %w", err)
-	}
-	defer db2.Close()
-	if Fingerprint(db2.Store()) != after {
-		return len(recovered), errors.New("post-recovery commit lost across a second restart")
-	}
-	return len(recovered), nil
+	return len(recovered), resumeService(db, dir, func(tx *h2tap.Tx) error {
+		_, err := tx.AddNode("Probe", nil)
+		return err
+	})
 }
 
 // RunGroupCommitPoint crashes the concurrent workload at the given persist

@@ -21,8 +21,8 @@ func TestShardFaultGoldenDeterministic(t *testing.T) {
 	if p1 != p2 {
 		t.Fatalf("in-scope persist points differ across runs: %d vs %d", p1, p2)
 	}
-	// Floor: one shard's WAL appends, pool writes and checkpoint over the
-	// script must expose a healthy number of fault points.
+	// Floor: one shard's WAL appends and checkpoint over the script must
+	// expose a healthy number of fault points.
 	if p1 < 10 {
 		t.Fatalf("shard-scoped script has %d persist points, want >= 10", p1)
 	}

@@ -362,16 +362,11 @@ func ShardStorm(cfg StormConfig) (*StormReport, error) {
 	if err := db.Close(); err != nil {
 		return rep, fmt.Errorf("close: %w", err)
 	}
-	db2, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: cfg.Dir, PersistPoolSize: poolSize})
+	db2, err := h2tap.Open(h2tap.Options{Shards: sfShards, PersistDir: cfg.Dir})
 	if err != nil {
 		return rep, fmt.Errorf("restart: %w", err)
 	}
 	defer db2.Close()
-	for i := 0; i < sfShards; i++ {
-		if err := db2.Cluster().Domain(i).DS().Validate(); err != nil {
-			return rep, fmt.Errorf("shard %d durable delta image inconsistent: %w", i, err)
-		}
-	}
 	if err := stormLedgerCheck(db2, cells); err != nil {
 		return rep, fmt.Errorf("after restart: %w", err)
 	}

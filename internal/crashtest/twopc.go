@@ -59,11 +59,10 @@ func twopcWorkload(dir string, fsys vfs.FS, st *runState) (err error) {
 		}
 	}()
 	db, err := h2tap.Open(h2tap.Options{
-		Shards:          twopcShards,
-		PersistDir:      dir,
-		PersistPoolSize: poolSize,
-		SyncWAL:         true,
-		FS:              fsys,
+		Shards:     twopcShards,
+		PersistDir: dir,
+		SyncWAL:    true,
+		FS:         fsys,
 	})
 	if err != nil {
 		return err
@@ -164,55 +163,8 @@ func twopcWorkload(dir string, fsys vfs.FS, st *runState) (err error) {
 	return db.Close()
 }
 
-// TwopcGolden is a fault-free run of the sharded workload.
-type TwopcGolden struct {
-	// OpPaths names the file of every persist operation, relative to the
-	// cluster directory: OpPaths[i] is operation i+1.
-	OpPaths []string
-	// Fps is the cluster fingerprint after each committed transaction
-	// (Fps[0] is the empty cluster).
-	Fps []string
-	// Commits counts the workload's transactions per commit path.
-	Commits [shard.NumCommitPaths]uint64
-}
-
-// Points is the workload's persist-point count.
-func (g *TwopcGolden) Points() int64 { return int64(len(g.OpPaths)) }
-
-// SurfacedPoints lists the persist points whose failure the workload is
-// contracted to surface as an error: WAL appends and syncs (shard logs and
-// coord.wal), delta-pool writes, and the checkpoint's temp file. A failed
-// csr.pool write is by design only recorded in
-// PropagationReport.PersistErr, and pool-sentinel and directory syncs are
-// open-time scaffolding.
-func (g *TwopcGolden) SurfacedPoints() []int64 {
-	var pts []int64
-	for i, p := range g.OpPaths {
-		base := filepath.Base(p)
-		if strings.HasSuffix(base, ".wal") || strings.HasSuffix(base, ".wal.tmp") || base == "delta.pool" {
-			pts = append(pts, int64(i+1))
-		}
-	}
-	return pts
-}
-
 // TwopcGoldenRun replays the sharded workload with no faults.
-func TwopcGoldenRun(dir string) (*TwopcGolden, error) {
-	cfs := faultinject.New(vfs.OS())
-	cfs.RecordPaths()
-	var st runState
-	if err := twopcWorkload(dir, cfs, &st); err != nil {
-		return nil, err
-	}
-	g := &TwopcGolden{Fps: st.fps, Commits: st.commits}
-	for _, p := range cfs.OpPaths() {
-		if rel, err := filepath.Rel(dir, p); err == nil {
-			p = rel
-		}
-		g.OpPaths = append(g.OpPaths, p)
-	}
-	return g, nil
-}
+func TwopcGoldenRun(dir string) (*Golden, error) { return goldenRun(dir, twopcWorkload) }
 
 // TwopcRunPoint crashes the sharded workload at one persist operation,
 // recovers, and checks the cross-shard invariants.
@@ -241,9 +193,8 @@ func TwopcRunPoint(dir string, point int64, tear faultinject.TearMode, golden []
 func twopcRecoverAndCheck(dir string, golden []string, completed int) (int, error) {
 	open := func() (*h2tap.DB, error) {
 		return h2tap.Open(h2tap.Options{
-			Shards:          twopcShards,
-			PersistDir:      dir,
-			PersistPoolSize: poolSize,
+			Shards:     twopcShards,
+			PersistDir: dir,
 		})
 	}
 	db, err := open()
@@ -265,13 +216,6 @@ func twopcRecoverAndCheck(dir string, golden []string, completed int) (int, erro
 	}
 	if m < completed || m > completed+1 {
 		return m, fmt.Errorf("recovered %d committed transactions, want %d or %d", m, completed, completed+1)
-	}
-
-	// Every shard's durable delta image must sit at a transaction boundary.
-	for i := 0; i < db.Cluster().Shards(); i++ {
-		if err := db.Cluster().Domain(i).DS().Validate(); err != nil {
-			return m, fmt.Errorf("shard %d durable delta image inconsistent: %w", i, err)
-		}
 	}
 
 	// Service resumes with a cross-shard probe: two fresh nodes plus an edge

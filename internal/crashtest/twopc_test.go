@@ -40,7 +40,7 @@ func TestTwopcGoldenDeterministic(t *testing.T) {
 	}
 	// Floor: three shard WALs plus a coordinator log over six transactions
 	// must expose well over 30 persist points (prepares, decisions, local
-	// decisions, pool writes, rotation).
+	// decisions, rotation).
 	if p1 < 30 {
 		t.Fatalf("sharded workload has %d persist points, want >= 30", p1)
 	}
@@ -54,8 +54,8 @@ func TestTwopcGoldenDeterministic(t *testing.T) {
 			t.Fatalf("golden run committed nothing through the %s path (commits by path: %v)", p, g1.Commits)
 		}
 	}
-	t.Logf("2pc workload: %d persist points (%d surfaced), %d commits, by path single/one_writer/two_phase %v",
-		p1, len(g1.SurfacedPoints()), len(g1.Fps)-1, g1.Commits)
+	t.Logf("2pc workload: %d persist points, %d commits, by path single/one_writer/two_phase %v",
+		p1, len(g1.Fps)-1, g1.Commits)
 }
 
 // TestTwopcCrashEnumeration sweeps crashes through every persist point of
@@ -88,17 +88,20 @@ func TestTwopcCrashEnumeration(t *testing.T) {
 // TestTwopcInjectedFailureIsSurfacedNotFatal exercises the transient-error
 // path (FailAt: the persist op errors, no crash): the sharded workload must
 // surface the error — a failed prepare or coordinator append aborts the
-// transaction on every shard — and the directory must still recover. Only
-// persist points the workload is contracted to surface are sampled (see
-// SurfacedPoints).
+// transaction on every shard — and the directory must still recover. Every
+// persist point is a WAL or checkpoint operation whose failure the workload
+// surfaces, so all of them are swept (an evenly spaced sample in -short
+// mode).
 func TestTwopcInjectedFailureIsSurfacedNotFatal(t *testing.T) {
 	g, err := TwopcGoldenRun(t.TempDir())
 	if err != nil {
 		t.Fatalf("2pc golden run: %v", err)
 	}
-	surfaced := g.SurfacedPoints()
-	for _, i := range samplePoints(int64(len(surfaced)), 10) {
-		p := surfaced[i-1]
+	maxPoints := 0
+	if testing.Short() {
+		maxPoints = 10
+	}
+	for _, p := range samplePoints(g.Points(), maxPoints) {
 		dir := t.TempDir()
 		ffs := faultinject.New(vfs.OS())
 		ffs.FailAt(p)

@@ -18,7 +18,9 @@ import (
 //
 // Crash consistency: array payloads and record bytes persist before the
 // vector lengths advance (pmem.Vector.CommitLen), so recovery sees whole
-// transactions' records or none of the tail.
+// transactions' records or none of the tail. Mirrored captures run one at a
+// time (Store.mirrorMu): CommitLen publishes the shared cursor, which would
+// cover a concurrent capture's reserved but unwritten records.
 
 // persistent record layout (48 bytes, matching RecordSize):
 //

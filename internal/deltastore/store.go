@@ -100,11 +100,15 @@ type Store struct {
 
 	persist *persistence // nil for the volatile store
 
+	// mirrorMu serialises mirrored appends from reservation to length
+	// publication (see Capture). Volatile appends never take it.
+	mirrorMu sync.Mutex
+
 	// persistBroken latches on the first PMem write failure. Mirroring
 	// stops immediately — the durable image freezes at the last committed
 	// transaction boundary, which recovery handles like any crash — and
-	// PersistErr surfaces the cause so the facade can fail subsequent
-	// commits instead of silently diverging from durable state.
+	// PersistErr surfaces the cause so a caller can stop committing
+	// instead of silently diverging from durable state.
 	persistBroken atomic.Bool
 	persistErrMu  sync.Mutex
 	persistErr    error
@@ -122,7 +126,7 @@ func (s *Store) failPersist(err error) {
 
 // PersistErr reports the sticky PMem write failure, if any. Once set, the
 // persistent image no longer tracks the volatile store; callers that need
-// durability must stop committing (the h2tap facade aborts commits on it).
+// durability must stop committing.
 func (s *Store) PersistErr() error {
 	s.persistErrMu.Lock()
 	defer s.persistErrMu.Unlock()
@@ -245,6 +249,15 @@ func (s *Store) Capture(d *delta.TxDelta) {
 		return
 	}
 
+	// A mirrored append holds mirrorMu from its reservations to its length
+	// publication. Otherwise a later reservation could finish first and
+	// publish durable lengths over this one's still unwritten records, and
+	// a crash would leave a durable image that ends mid-transaction.
+	mirrored := s.mirroring()
+	if mirrored {
+		s.mirrorMu.Lock()
+	}
+
 	// Coalesce this transaction's array payloads into single reservations.
 	var insTotal, delTotal int
 	for i := range d.Nodes {
@@ -293,10 +306,13 @@ func (s *Store) Capture(d *delta.TxDelta) {
 		insAt += uint64(len(nd.Ins))
 		delAt += uint64(len(nd.Del))
 	}
-	if s.mirroring() {
-		if err := s.persist.commitLens(); err != nil {
-			s.failPersist(err)
+	if mirrored {
+		if s.mirroring() {
+			if err := s.persist.commitLens(); err != nil {
+				s.failPersist(err)
+			}
 		}
+		s.mirrorMu.Unlock()
 	}
 	s.checkHighWater()
 	if fn, ok := s.appendObs.Load().(func(records, ins, dels int)); ok && fn != nil {

@@ -167,8 +167,8 @@ func durableCrossCommits(n int, twoWriters bool) time.Duration {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := h2tap.Open(h2tap.Options{Shards: 2, PersistDir: dir, PersistPoolSize: 8 << 20,
-		SyncWAL: true, FS: vfs.SlowSync(vfs.OS(), gcFsyncLatency)})
+	db, err := h2tap.Open(h2tap.Options{Shards: 2, PersistDir: dir, SyncWAL: true,
+		FS: vfs.SlowSync(vfs.OS(), gcFsyncLatency)})
 	if err != nil {
 		panic(err)
 	}

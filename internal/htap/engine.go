@@ -25,7 +25,6 @@ import (
 	"h2tap/internal/graph"
 	"h2tap/internal/mvto"
 	"h2tap/internal/obs"
-	"h2tap/internal/pmem"
 	"h2tap/internal/sim"
 )
 
@@ -69,7 +68,7 @@ type Config struct {
 	// Device is the simulated GPU; nil selects gpu.DefaultA100.
 	Device *gpu.Device
 	// DeltaStore is the DELTA_FE instance; nil selects a fresh volatile
-	// store. Pass a pmem-backed store for the §6.5 persistent variant.
+	// store. Pass a deltastore.NewPersistent store for the §6.5 variant.
 	DeltaStore *deltastore.Store
 	// CostModel, when set, installs the §6.4 threshold so overflowing
 	// delta counts switch propagation to rebuild mode.
@@ -84,9 +83,6 @@ type Config struct {
 	// static path also streams merged node-range segments to the device as
 	// they finish, overlapping transfer with the merge.
 	Workers int
-	// PersistPool, when set (static replica only), maintains the §6.5
-	// persistent CSR copy after each propagation.
-	PersistPool *pmem.Pool
 	// PageRankIters and Damping parameterize PageRank (defaults 10, 0.85).
 	PageRankIters int
 	Damping       float64
@@ -129,10 +125,9 @@ type PropagationReport struct {
 	Deltas  int // combined per-node deltas
 	Workers int // propagation worker count used this cycle
 
-	ScanWall    time.Duration // delta store scan (§5.2)
-	MergeWall   time.Duration // CSR merge (§5.4) or rebuild
-	MergeStats  csr.MergeStats
-	PersistWall time.Duration // §6.5 persistent CSR copy (off critical path)
+	ScanWall   time.Duration // delta store scan (§5.2)
+	MergeWall  time.Duration // CSR merge (§5.4) or rebuild
+	MergeStats csr.MergeStats
 
 	// TransferSim is the transfer cost on the critical path. When
 	// Overlapped, early merge shards streamed to the device while later
@@ -155,10 +150,6 @@ type PropagationReport struct {
 	// cycle leaves the engine Degraded with a non-zero staleness bound.
 	Health    Health
 	Staleness Staleness
-	// PersistErr records a §6.5 persistent-CSR-copy failure. The copy is
-	// recovery-only and off the critical path, so it does not fail the
-	// cycle: the replica is fresh and consistent regardless.
-	PersistErr error
 
 	// Predicted holds the §6.4 cost-model predictions for this cycle's
 	// phases, when a model is installed — the drift tracker compares them
@@ -512,20 +503,6 @@ func (e *Engine) runCycle(bound mvto.TS, rep *PropagationReport, tc *obs.Cycle) 
 	// protocol's commit point — before it, the store could replay the
 	// whole batch; after it, the replica provably contains the batch.
 	sc.Commit()
-
-	// §6.5: the persistent CSR copy is only for recovery and does not gate
-	// analytics, so it runs outside the critical path — and a failure is
-	// recorded, not returned: the replica itself is fresh and consistent.
-	if e.cfg.Replica == StaticCSR && e.cfg.PersistPool != nil {
-		sp := tc.Span("persist")
-		pStart := time.Now()
-		if _, err := csr.PersistTo(e.cfg.PersistPool, e.hostCSR); err != nil {
-			rep.PersistErr = fmt.Errorf("htap: persistent CSR copy: %w", err)
-			sp.Arg("err", err.Error())
-		}
-		rep.PersistWall = time.Since(pStart)
-		sp.End()
-	}
 	return nil
 }
 

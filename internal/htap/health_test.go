@@ -2,14 +2,11 @@ package htap
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"h2tap/internal/csr"
 	"h2tap/internal/faultinject"
-	"h2tap/internal/pmem"
-	"h2tap/internal/sim"
 )
 
 // tightRetry keeps fault tests fast: two attempts per rung, microsecond
@@ -199,36 +196,6 @@ func TestIngestFailureFallsBackToRebuild(t *testing.T) {
 	}
 	if sr.Diverged {
 		t.Fatal("replica diverged after fallback rebuild")
-	}
-}
-
-// TestPersistErrRecordedNotFatal is the regression test for the §6.5
-// persistent-copy semantics: the copy is recovery-only, so its failure
-// after a successful replica swap is recorded in the report, not returned
-// as a cycle failure.
-func TestPersistErrRecordedNotFatal(t *testing.T) {
-	// A pool far too small for the CSR: PersistTo must fail.
-	pool, err := pmem.Create(filepath.Join(t.TempDir(), "csr.pool"), 64<<10, sim.DefaultPMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	e, d := newLoadedEngine(t, Config{Replica: StaticCSR, PersistPool: pool})
-	runMixed(t, e, d, 100, 14)
-
-	rep, err := e.Propagate()
-	if err != nil {
-		t.Fatalf("propagate failed on a persist-copy error: %v", err)
-	}
-	if rep.PersistErr == nil {
-		t.Fatal("persist failure not recorded in the report")
-	}
-	if !errors.Is(rep.PersistErr, pmem.ErrOutOfSpace) {
-		t.Fatalf("PersistErr = %v, want pool exhaustion", rep.PersistErr)
-	}
-	// The replica itself is fresh and the engine healthy.
-	if h, _ := e.Health(); h != Healthy || !e.Fresh() {
-		t.Fatalf("health=%v fresh=%v after recorded persist failure", h, e.Fresh())
 	}
 }
 

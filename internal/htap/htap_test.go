@@ -3,7 +3,6 @@ package htap
 import (
 	"errors"
 	"math"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -15,8 +14,6 @@ import (
 	"h2tap/internal/ldbc"
 	"h2tap/internal/mvto"
 	"h2tap/internal/obs"
-	"h2tap/internal/pmem"
-	"h2tap/internal/sim"
 	"h2tap/internal/workload"
 )
 
@@ -262,26 +259,6 @@ func TestCostModelRebuildPath(t *testing.T) {
 	}
 	if rep2.Rebuild {
 		t.Fatal("second propagation should merge, not rebuild")
-	}
-}
-
-func TestPersistentCSRCopy(t *testing.T) {
-	pool, err := pmem.Create(filepath.Join(t.TempDir(), "csr.pool"), 256<<20, sim.DefaultPMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	e, d := newLoadedEngine(t, Config{Replica: StaticCSR, PersistPool: pool})
-	runMixed(t, e, d, 100, 2)
-	rep, err := e.Propagate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PersistWall <= 0 {
-		t.Fatal("persistent copy not made")
-	}
-	if pool.SimTime() <= 0 {
-		t.Fatal("persistent copy charged no media time")
 	}
 }
 

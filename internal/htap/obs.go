@@ -164,9 +164,6 @@ func (e *Engine) observeCycle(rep *PropagationReport, tc *obs.Cycle, err error) 
 		if rep.IngestSim > 0 {
 			o.ObservePhase("ingest", time.Duration(rep.IngestSim))
 		}
-		if rep.PersistWall > 0 {
-			o.ObservePhase("persist", rep.PersistWall)
-		}
 		if rep.RetryWall > 0 {
 			o.ObservePhase("retry", rep.RetryWall)
 		}
@@ -201,9 +198,9 @@ func (e *Engine) observeCycle(rep *PropagationReport, tc *obs.Cycle, err error) 
 		if logf == nil {
 			logf = log.Printf
 		}
-		logf("htap: slow propagation cycle: total=%v scan=%v merge=%v transfer=%v(bus %v) ingest=%v persist=%v retry=%v attempts=%d records=%d deltas=%d workers=%d rebuild=%t fallback=%t health=%s err=%v",
+		logf("htap: slow propagation cycle: total=%v scan=%v merge=%v transfer=%v(bus %v) ingest=%v retry=%v attempts=%d records=%d deltas=%d workers=%d rebuild=%t fallback=%t health=%s err=%v",
 			rep.Total.Total(), rep.ScanWall, rep.MergeWall, rep.TransferSim, rep.TransferBusSim,
-			rep.IngestSim, rep.PersistWall, rep.RetryWall, rep.Attempts, rep.Records, rep.Deltas,
+			rep.IngestSim, rep.RetryWall, rep.Attempts, rep.Records, rep.Deltas,
 			rep.Workers, rep.Rebuild, rep.FallbackRebuild, rep.Health, err)
 	}
 

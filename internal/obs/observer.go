@@ -47,7 +47,7 @@ type Observer struct {
 
 // Phase names pre-registered in the propagation phase histogram family, so
 // every family appears in the exposition from the first scrape.
-var phaseNames = []string{"scan", "merge", "rebuild", "transfer", "ingest", "persist", "retry"}
+var phaseNames = []string{"scan", "merge", "rebuild", "transfer", "ingest", "retry"}
 
 // New returns an Observer with a fresh registry, a 64-cycle tracer and a
 // 128-observation drift window, with every static metric family
@@ -88,7 +88,7 @@ func New() *Observer {
 
 	for _, p := range phaseNames {
 		o.phase[p] = r.Histogram("h2tap_propagation_phase_seconds",
-			"Per-phase wall (scan/merge/rebuild/persist/retry) or simulated (transfer/ingest) time of propagation cycles.",
+			"Per-phase wall (scan/merge/rebuild/retry) or simulated (transfer/ingest) time of propagation cycles.",
 			nil, L("phase", p))
 	}
 	o.total = r.Histogram("h2tap_propagation_total_seconds",
@@ -184,7 +184,7 @@ func (o *Observer) ObservePhase(phase string, d time.Duration) {
 	o.phaseMu.RUnlock()
 	if h == nil {
 		h = o.Reg.Histogram("h2tap_propagation_phase_seconds",
-			"Per-phase wall (scan/merge/rebuild/persist/retry) or simulated (transfer/ingest) time of propagation cycles.",
+			"Per-phase wall (scan/merge/rebuild/retry) or simulated (transfer/ingest) time of propagation cycles.",
 			nil, L("phase", phase))
 		o.phaseMu.Lock()
 		o.phase[phase] = h

@@ -216,6 +216,8 @@ func (v *Vector) GetFloat64(i uint64) float64 {
 
 // CommitLen advances the durable length to the current cursor. Callers
 // persist element data first; the length advance is the publication point.
+// The cursor covers every index reserved so far, so callers with concurrent
+// writers must exclude them until their elements are persisted.
 func (v *Vector) CommitLen() error {
 	cur := v.cursor.Load()
 	v.growMu.Lock()

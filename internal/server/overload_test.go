@@ -306,7 +306,7 @@ func TestDrainDurability(t *testing.T) {
 	// drain-time checkpoint + clean close, which is exactly the contract
 	// under test (crash durability is internal/crashtest's domain). Small
 	// pools keep the reopen (which reads whole pool files) fast.
-	db, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: 16 << 20})
+	db, err := h2tap.Open(h2tap.Options{PersistDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestDrainDurability(t *testing.T) {
 	}
 
 	// Restart: recovery must surface every acknowledged commit.
-	db2, err := h2tap.Open(h2tap.Options{PersistDir: dir, PersistPoolSize: 16 << 20})
+	db2, err := h2tap.Open(h2tap.Options{PersistDir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -40,8 +40,6 @@ type Options struct {
 	// PersistDir/shard-NNN plus the coordinator decision log at
 	// PersistDir/coord.wal. Empty selects fully volatile domains.
 	PersistDir string
-	// PersistPoolSize bounds each per-shard persistent pool (default 1 GiB).
-	PersistPoolSize int64
 	// SyncWAL fsyncs shard prepare/commit records and coordinator decisions.
 	SyncWAL bool
 	// GroupCommit tunes group commit on every shard WAL and the coordinator
@@ -73,6 +71,10 @@ type Cluster struct {
 	fsys vfs.FS
 
 	domains []*Domain
+
+	// lastGids is the newest stitch's vertex list, which the next stitch
+	// reuses when its vertex set is unchanged (see buildComposite).
+	lastGids atomic.Pointer[[]uint64]
 
 	// Coordinator decision log (nil for volatile clusters). coordMu
 	// serializes decision appends (read side) against whole-log reads and
@@ -132,9 +134,6 @@ type Cluster struct {
 func Open(o Options) (*Cluster, error) {
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.PersistPoolSize == 0 {
-		o.PersistPoolSize = 1 << 30
 	}
 	// The stitcher runs kernels directly (outside any one engine), so the
 	// engine's PageRank defaults are normalized here once for both paths.
@@ -196,7 +195,7 @@ func Open(o Options) (*Cluster, error) {
 		}
 	}()
 	for i := 0; i < o.Shards; i++ {
-		d, st, err := openPersistent(fsys, i, c.shardDir(i), o.PersistPoolSize, o.SyncWAL, o.GroupCommit, decide)
+		d, st, err := openPersistent(fsys, i, c.shardDir(i), o.SyncWAL, o.GroupCommit, decide)
 		if err != nil {
 			return nil, err
 		}
@@ -353,8 +352,8 @@ func (c *Cluster) CoordErr() error {
 }
 
 // StartEngines builds every shard's analytics engine from its current
-// committed snapshot: per-shard simulated GPU device, per-shard cost model
-// (calibrated once, cloned per shard), per-shard persistent CSR pool.
+// committed snapshot: per-shard simulated GPU device and per-shard cost
+// model (calibrated once, cloned per shard).
 func (c *Cluster) StartEngines() error {
 	c.engineOnce.Do(func() {
 		if c.opts.EnableCostModel {
@@ -388,7 +387,6 @@ func (c *Cluster) buildEngine(core *domainCore) (*htap.Engine, error) {
 		DeltaStore:    core.ds,
 		CostModel:     c.model.Clone(),
 		Workers:       c.opts.Workers,
-		PersistPool:   core.csrPool,
 		PageRankIters: c.opts.PageRankIters,
 		Damping:       c.opts.Damping,
 		Retry:         c.opts.Retry,
@@ -446,9 +444,9 @@ func (c *Cluster) Checkpoint() error {
 	return firstErr
 }
 
-// RecoverShard reopens a Down shard from its own durable state — WAL,
-// checkpoint, pools — while the rest of the cluster keeps serving, and
-// flips it back to Healthy. The coordinator decision log is re-read (under
+// RecoverShard reopens a Down shard from its own durable state — its WAL,
+// as compacted by the last checkpoint — while the rest of the cluster keeps
+// serving, and flips it back to Healthy. The coordinator decision log is re-read (under
 // the coordinator lock, so no concurrent decision append can be misread as
 // corruption) to resolve any in-doubt prepare records the shard's WAL
 // holds: decided-commit transactions are applied, everything else is
@@ -492,7 +490,7 @@ func (c *Cluster) RecoverShard(i int) error {
 		return ok && commit
 	}
 
-	core, st, err := openCore(c.fsys, i, c.shardDir(i), c.opts.PersistPoolSize, c.opts.SyncWAL, c.opts.GroupCommit, decide)
+	core, st, err := openCore(c.fsys, i, c.shardDir(i), c.opts.SyncWAL, c.opts.GroupCommit, decide)
 	if err != nil {
 		return fmt.Errorf("shard %d: recover: %w", i, err)
 	}
@@ -621,8 +619,7 @@ func (c *Cluster) Watermarks() []uint64 {
 	return w
 }
 
-// Close closes the coordinator log and every shard's durable handles. A
-// latched per-shard delta-persistence failure surfaces even on clean close.
+// Close closes the coordinator log and every shard's durable handles.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		var firstErr error
@@ -636,11 +633,6 @@ func (c *Cluster) Close() error {
 		for _, d := range c.domains {
 			if err := d.closeHandles(); err != nil && firstErr == nil {
 				firstErr = err
-			}
-			if firstErr == nil {
-				if ds := d.DS(); ds != nil {
-					firstErr = ds.PersistErr()
-				}
 			}
 		}
 		c.closeErr = firstErr

@@ -109,7 +109,7 @@ func (f *countFile) Sync() error {
 func openDurable(t *testing.T, n int, fsys vfs.FS) (*Cluster, string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := Open(Options{Shards: n, PersistDir: dir, SyncWAL: true, PersistPoolSize: 4 << 20, FS: fsys})
+	c, err := Open(Options{Shards: n, PersistDir: dir, SyncWAL: true, FS: fsys})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

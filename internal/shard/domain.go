@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,14 +11,12 @@ import (
 	"h2tap/internal/htap"
 	"h2tap/internal/mvto"
 	"h2tap/internal/obs"
-	"h2tap/internal/pmem"
-	"h2tap/internal/sim"
 	"h2tap/internal/vfs"
 	"h2tap/internal/wal"
 )
 
 // domainCore bundles the handles that live and die together with one
-// incarnation of a shard: the store, its delta store, pools and WAL. Online
+// incarnation of a shard: the store, its delta store and its WAL. Online
 // recovery builds a fresh core from the shard's durable state and swaps it
 // in atomically; anything still holding the old core (an in-flight
 // transaction, a pinned replica) keeps a consistent — if doomed — view, and
@@ -27,22 +24,18 @@ import (
 type domainCore struct {
 	store *graph.Store
 	ds    *deltastore.Store
-
-	deltaPool *pmem.Pool
-	csrPool   *pmem.Pool
-	wal       *wal.Log
+	wal   *wal.Log
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // Domain is one shard: an independent MVTO timestamp domain with its own
-// main-graph store, delta store, write-ahead log, persistent pools and —
-// once the cluster starts its engines — its own cost model and simulated
-// GPU replica. It mirrors the single-shard facade's wiring (h2tap.Open /
-// StartEngine) at per-shard scope, and is an independent failure domain:
-// a latched persist failure quarantines this shard (ShardDown) without
-// touching its siblings.
+// main-graph store, delta store, write-ahead log and — once the cluster
+// starts its engines — its own cost model and simulated GPU replica. It
+// mirrors the single-shard facade's wiring (h2tap.Open / StartEngine) at
+// per-shard scope, and is an independent failure domain: a latched WAL
+// failure quarantines this shard (ShardDown) without touching its siblings.
 type Domain struct {
 	Index int
 
@@ -57,11 +50,6 @@ type Domain struct {
 	recoveries atomic.Uint64
 }
 
-// poolsSentinel marks a fully initialized pool pair (same protocol as the
-// single-shard facade: created and dir-fsynced only after both pools exist,
-// so a mid-init crash wipes and recreates rather than half-recovers).
-const poolsSentinel = "pools.ok"
-
 // Store returns the shard's current main-graph store.
 func (d *Domain) Store() *graph.Store { return d.core.Load().store }
 
@@ -74,22 +62,15 @@ func (d *Domain) Engine() *htap.Engine { return d.engine.Load() }
 // WAL exposes the shard's write-ahead log (nil for volatile domains).
 func (d *Domain) WAL() *wal.Log { return d.core.Load().wal }
 
-// Health reports the shard's state. Down dominates; a WAL or delta-store
-// latch discovered here quarantines lazily (the failure already happened on
-// a persist path, Health just surfaces it before the next commit trips).
+// Health reports the shard's state. Down dominates; a WAL latch discovered
+// here quarantines lazily (the failure already happened on a persist path,
+// Health just surfaces it before the next commit trips).
 // Degraded reflects the engine's GPU-fault ladder and clears on its own.
 func (d *Domain) Health() (HealthState, error) {
 	if !d.isDown() {
-		if core := d.core.Load(); core != nil {
-			if core.wal != nil {
-				if st := core.wal.Stats(); st.Failed != nil {
-					d.quarantine(fmt.Errorf("wal: %w", st.Failed))
-				}
-			}
-			if core.ds != nil {
-				if err := core.ds.PersistErr(); err != nil {
-					d.quarantine(fmt.Errorf("delta store: %w", err))
-				}
+		if core := d.core.Load(); core != nil && core.wal != nil {
+			if st := core.wal.Stats(); st.Failed != nil {
+				d.quarantine(fmt.Errorf("wal: %w", st.Failed))
 			}
 		}
 	}
@@ -180,10 +161,9 @@ func (d *Domain) endRecovery(ok bool) {
 	d.hmu.Unlock()
 }
 
-// domainGuard aborts commits once the shard is quarantined or its
-// persistent delta store has latched a write failure, and applies the
+// domainGuard aborts commits once the shard is quarantined and applies the
 // engine's backpressure signal — the per-shard equivalent of the facade's
-// deltaGuard + backpressureGuard. It is bound to one core incarnation:
+// backpressureGuard. It is bound to one core incarnation:
 // after an online recovery swaps the core, transactions still attached to
 // the superseded store are rejected here rather than publishing into a
 // detached incarnation.
@@ -207,17 +187,11 @@ func (d *Domain) guardErr(core *domainCore) error {
 }
 
 // liveErr is the part of the commit guard a read-only participant's vote
-// runs too: the shard is not quarantined, still runs core, and its
-// persistent delta store has not latched a write failure. Backpressure is
-// left out — a read appends nothing.
+// runs too: the shard is not quarantined and still runs core. Backpressure
+// is left out — a read appends nothing.
 func (d *Domain) liveErr(core *domainCore) error {
 	if d.isDown() || d.core.Load() != core {
 		return d.downErr()
-	}
-	if err := core.ds.PersistErr(); err != nil {
-		err = fmt.Errorf("shard %d: persistent delta store failed: %w", d.Index, err)
-		d.quarantine(err)
-		return err
 	}
 	return nil
 }
@@ -309,63 +283,19 @@ func openVolatile(idx int) *Domain {
 // openCore builds (or recovers) one durable core under dir, replaying its
 // write-ahead log with decide resolving any in-doubt 2PC prepares to the
 // coordinator's durable decision. Both the initial open and online shard
-// recovery run exactly this path.
-func openCore(fsys vfs.FS, idx int, dir string, poolSize int64, syncWAL bool, gc wal.GroupCommit, decide func(uint64) bool) (_ *domainCore, _ wal.ReplayStats, err error) {
-	core := &domainCore{store: graph.NewStore()}
+// recovery run exactly this path. The delta store is volatile: the WAL is
+// the shard's only durable state, and the first replica build after a
+// restart starts from the replayed graph.
+func openCore(fsys vfs.FS, idx int, dir string, syncWAL bool, gc wal.GroupCommit, decide func(uint64) bool) (_ *domainCore, _ wal.ReplayStats, err error) {
+	core := &domainCore{store: graph.NewStore(), ds: deltastore.NewVolatile()}
 	var st wal.ReplayStats
-	defer func() {
-		if err != nil {
-			core.close()
-		}
-	}()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, st, fmt.Errorf("shard %d: dir: %w", idx, err)
 	}
-	deltaPath := filepath.Join(dir, "delta.pool")
-	csrPath := filepath.Join(dir, "csr.pool")
+	if err := RemoveStale(fsys, dir); err != nil {
+		return nil, st, fmt.Errorf("shard %d: %w", idx, err)
+	}
 	walPath := filepath.Join(dir, "graph.wal")
-	sentinelPath := filepath.Join(dir, poolsSentinel)
-
-	if _, serr := fsys.Stat(sentinelPath); serr == nil {
-		if core.deltaPool, err = pmem.OpenOn(fsys, deltaPath, sim.DefaultPMem()); err != nil {
-			return nil, st, err
-		}
-		if core.csrPool, err = pmem.OpenOn(fsys, csrPath, sim.DefaultPMem()); err != nil {
-			return nil, st, err
-		}
-		if core.ds, err = deltastore.OpenPersistent(core.deltaPool); err != nil {
-			return nil, st, err
-		}
-	} else {
-		for _, stale := range []string{deltaPath, csrPath} {
-			if _, err := fsys.Stat(stale); err == nil {
-				if err := fsys.Remove(stale); err != nil {
-					return nil, st, fmt.Errorf("shard %d: remove partial pool: %w", idx, err)
-				}
-			}
-		}
-		if core.deltaPool, err = pmem.CreateOn(fsys, deltaPath, poolSize, sim.DefaultPMem()); err != nil {
-			return nil, st, err
-		}
-		if core.csrPool, err = pmem.CreateOn(fsys, csrPath, poolSize, sim.DefaultPMem()); err != nil {
-			return nil, st, err
-		}
-		if core.ds, err = deltastore.NewPersistent(core.deltaPool); err != nil {
-			return nil, st, err
-		}
-		if err = writeSentinel(fsys, sentinelPath, dir); err != nil {
-			return nil, st, err
-		}
-	}
-
-	// A checkpoint that crashed before its rename leaves graph.wal.tmp
-	// behind; the live log is intact (rename is the commit point).
-	walTmp := walPath + ".tmp"
-	if _, serr := fsys.Stat(walTmp); serr == nil {
-		if err := fsys.Remove(walTmp); err != nil {
-			return nil, st, fmt.Errorf("shard %d: remove stale checkpoint temp: %w", idx, err)
-		}
-	}
 	if _, serr := fsys.Stat(walPath); serr == nil {
 		if st, err = wal.ReplayResolved(fsys, walPath, core.store, decide); err != nil {
 			return nil, st, fmt.Errorf("shard %d: recovery: %w", idx, err)
@@ -382,11 +312,30 @@ func openCore(fsys vfs.FS, idx int, dir string, poolSize int64, syncWAL bool, gc
 	return core, st, nil
 }
 
+// RemoveStale deletes the files a durable directory may hold that no open
+// reads: graph.wal.tmp from a checkpoint that crashed before its rename
+// (the live log is intact, the rename is the commit point), and the
+// delta.pool, csr.pool and pools.ok files that releases before the WAL-only
+// durable mode wrote beside the log. Both h2tap.Open and every shard's
+// openCore call it before replaying the log.
+func RemoveStale(fsys vfs.FS, dir string) error {
+	for _, name := range []string{"graph.wal.tmp", "delta.pool", "csr.pool", "pools.ok"} {
+		path := filepath.Join(dir, name)
+		if _, err := fsys.Stat(path); err != nil {
+			continue
+		}
+		if err := fsys.Remove(path); err != nil {
+			return fmt.Errorf("remove stale %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
 // openPersistent builds (or recovers) a durable domain under dir. It
 // returns the replay stats so the cluster can resume its gtx counter past
 // every ID this shard ever saw.
-func openPersistent(fsys vfs.FS, idx int, dir string, poolSize int64, syncWAL bool, gc wal.GroupCommit, decide func(uint64) bool) (*Domain, wal.ReplayStats, error) {
-	core, st, err := openCore(fsys, idx, dir, poolSize, syncWAL, gc, decide)
+func openPersistent(fsys vfs.FS, idx int, dir string, syncWAL bool, gc wal.GroupCommit, decide func(uint64) bool) (*Domain, wal.ReplayStats, error) {
+	core, st, err := openCore(fsys, idx, dir, syncWAL, gc, decide)
 	if err != nil {
 		return nil, st, err
 	}
@@ -406,25 +355,6 @@ func (d *Domain) adoptCore(core *domainCore) {
 	d.core.Store(core)
 }
 
-// writeSentinel durably creates the pools-initialized marker.
-func writeSentinel(fsys vfs.FS, path, dir string) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("shard: pool sentinel: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: pool sentinel sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: pool sentinel close: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: pool sentinel dir sync: %w", err)
-	}
-	return nil
-}
-
 // close closes whatever durable handles the core holds. The handle fields
 // are deliberately left non-nil: a transaction that pinned this core before
 // an online recovery superseded it must see its late prepare/decision
@@ -435,16 +365,7 @@ func writeSentinel(fsys vfs.FS, path, dir string) error {
 func (c *domainCore) close() error {
 	c.closeOnce.Do(func() {
 		if c.wal != nil {
-			if err := c.wal.Close(); err != nil {
-				c.closeErr = err
-			}
-		}
-		for _, p := range []*pmem.Pool{c.deltaPool, c.csrPool} {
-			if p != nil {
-				if err := p.Close(); err != nil && c.closeErr == nil {
-					c.closeErr = err
-				}
-			}
+			c.closeErr = c.wal.Close()
 		}
 	})
 	return c.closeErr

@@ -251,8 +251,7 @@ func TestGhostReuseAcrossTransactions(t *testing.T) {
 func TestPersistentReopenPreservesCrossShardState(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Cluster {
-		c, err := Open(Options{Shards: 3, PersistDir: dir, SyncWAL: true,
-			PersistPoolSize: 4 << 20})
+		c, err := Open(Options{Shards: 3, PersistDir: dir, SyncWAL: true})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}

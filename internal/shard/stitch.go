@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"h2tap/internal/analytics"
@@ -31,7 +33,8 @@ type StitchResult struct {
 	// shards are absent and cross-shard edges into them are dropped.
 	Excluded []int
 	// GlobalIDs lists the composite's vertices (ascending global IDs; ghost
-	// slots excluded). Result slices are indexed positionally by it.
+	// slots excluded). Result slices are indexed positionally by it. It is
+	// read-only: stitches over the same vertex set share one slice.
 	GlobalIDs []uint64
 	// CSR is the stitched composite adjacency over the GlobalIDs index
 	// space (consistency checks, debugging).
@@ -159,7 +162,11 @@ func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *ob
 		// shard before the kernel, so no shard's propagation waits on it.
 		start := time.Now()
 		sp = rq.Span("stitch.build", "stitch")
-		comp, err := buildComposite(c.part, views, c.forEachGhost)
+		var prev []uint64
+		if p := c.lastGids.Load(); p != nil {
+			prev = *p
+		}
+		comp, err := buildComposite(c.part, views, c.forEachGhost, prev)
 		sp.End()
 		release()
 		if err != nil {
@@ -169,6 +176,9 @@ func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *ob
 			c.afterUnpin()
 		}
 		res, err := c.runComposite(comp, included, w, kind, class, src, start)
+		gids := comp.gids
+		c.lastGids.Store(&gids)
+		comp.release()
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +213,9 @@ func (c *composite) vertex(g uint64) (uint64, bool) {
 
 // buildComposite stitches the per-shard views into one composite CSR keyed
 // by global ID. views[s] is nil for an excluded shard; ghosts enumerates the
-// ghost registry as (shard, local slot, global ID) triples. The result
-// depends on nothing else, and shares no memory with the views.
+// ghost registry as (shard, local slot, global ID) triples; prev, an
+// earlier composite's vertex list, is shared when equal (new edges and
+// ghosts leave it so). The result shares no memory with the views.
 //
 // Since g = local·N + shard, walking local slots and then shards visits the
 // global IDs in ascending order, so one dense []int32 over
@@ -223,18 +234,17 @@ func (c *composite) vertex(g uint64) (uint64, bool) {
 // contributes the edges it owns, with ghost destinations rewired to the
 // remote vertex; an edge whose destination is not in the composite (an
 // excluded shard's vertex, or a slot past its view) is dropped.
-func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s int, local graph.NodeID, gid uint64))) (*composite, error) {
+func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s int, local graph.NodeID, gid uint64)), prev []uint64) (*composite, error) {
 	n := uint64(p.Shards())
 	slots := make([]uint64, len(views))
-	var width, maxVertices uint64
+	var width uint64
 	for s, v := range views {
 		if v != nil {
 			slots[s] = uint64(v.NumVertexSlots())
 			width = max(width, slots[s])
-			maxVertices += slots[s]
 		}
 	}
-	index := make([]int32, width*n)
+	index := growIndex(*indexPool.Get().(*[]int32), width*n)
 	ghosts(func(s int, l graph.NodeID, g uint64) {
 		if views[s] == nil {
 			return
@@ -243,7 +253,7 @@ func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s i
 		if pos >= uint64(len(index)) {
 			// A ghost past every view: only a row reaching past its own
 			// view can name it.
-			index = append(index, make([]int32, (l+1)*n-uint64(len(index)))...)
+			index = growIndex(index, (l+1)*n)
 		}
 		index[pos] = -1
 		if g <= math.MaxInt32-2 {
@@ -255,15 +265,21 @@ func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s i
 	}
 	width = uint64(len(index)) / n
 
-	gids := make([]uint64, 0, maxVertices)
+	// The first walk numbers the vertices and bounds the edge count, so the
+	// result arrays are allocated at their final size.
+	var vertices, edges int
+	same := true
 	for l := uint64(0); l < width; l++ {
 		for s, v := range views {
 			pos := l*n + uint64(s)
 			switch {
 			case index[pos] < 0: // ghost
 			case v != nil && l < slots[s]:
-				index[pos] = int32(len(gids))
-				gids = append(gids, pos)
+				index[pos] = int32(vertices)
+				same = same && vertices < len(prev) && prev[vertices] == pos
+				vertices++
+				dsts, _ := v.Row(l)
+				edges += len(dsts)
 			default:
 				index[pos] = -1
 			}
@@ -272,12 +288,25 @@ func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s i
 
 	// A second walk in the same order writes the rows: every vertex's
 	// composite index is known by now.
-	comp := &csr.CSR{Off: make([]int64, 1, len(gids)+1)}
+	gids := prev
+	fill := !same || vertices != len(prev)
+	if fill {
+		gids = make([]uint64, 0, vertices)
+	}
+	comp := &csr.CSR{
+		Off: make([]int64, 1, vertices+1),
+		Col: make([]uint64, 0, edges),
+		Val: make([]float64, 0, edges),
+	}
 	owned := make([]int64, len(views))
 	for l := uint64(0); l < width; l++ {
 		for s, v := range views {
-			if index[l*n+uint64(s)] < 0 {
+			pos := l*n + uint64(s)
+			if index[pos] < 0 {
 				continue
+			}
+			if fill {
+				gids = append(gids, pos)
 			}
 			dsts, ws := v.Row(l)
 			start, sorted := len(comp.Col), true
@@ -310,6 +339,25 @@ func buildComposite(p Partitioner, views []analytics.Graph, ghosts func(func(s i
 		}
 	}
 	return &composite{gids: gids, csr: comp, owned: owned, index: index}, nil
+}
+
+// indexPool recycles composite indexes: unlike the result arrays, an index
+// is private and dead once the kernel has its source vertex.
+var indexPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// growIndex extends index to n entries, the new ones zero.
+func growIndex(index []int32, n uint64) []int32 {
+	old := len(index)
+	index = slices.Grow(index, int(n)-old)[:n]
+	clear(index[old:])
+	return index
+}
+
+// release returns the index to indexPool; vertex no longer works after it.
+func (c *composite) release() {
+	index := c.index[:0]
+	c.index = nil
+	indexPool.Put(&index)
 }
 
 // sortRow sorts one composite row by destination, carrying the weights: an

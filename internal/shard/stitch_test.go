@@ -140,18 +140,43 @@ func drawStitch(data []byte) stitchInput {
 func checkComposite(t *testing.T, in stitchInput) {
 	t.Helper()
 	wantG, want, wantOwned, wantEdges, wantIdx := oracleComposite(in.part, in.views, in.rev)
-	got, err := buildComposite(in.part, in.views, func(fn func(int, graph.NodeID, uint64)) {
+	ghosts := func(fn func(int, graph.NodeID, uint64)) {
 		for s, m := range in.rev {
 			for l, g := range m {
 				fn(s, l, g)
 			}
 		}
-	})
+	}
+	got, err := buildComposite(in.part, in.views, ghosts, nil)
 	if err != nil {
 		t.Fatalf("buildComposite: %v", err)
 	}
 	if !slices.Equal(got.gids, wantG) {
 		t.Fatalf("GlobalIDs %v, oracle %v", got.gids, wantG)
+	}
+	// Handed the previous vertex list, the build shares it when it is
+	// equal and builds its own when it is not.
+	again, err := buildComposite(in.part, in.views, ghosts, got.gids)
+	if err != nil {
+		t.Fatalf("buildComposite: %v", err)
+	}
+	if !slices.Equal(again.gids, wantG) || len(wantG) > 0 && &again.gids[0] != &got.gids[0] {
+		t.Fatalf("rebuild with an equal vertex list: GlobalIDs %v not shared with %v", again.gids, got.gids)
+	}
+	var stales [][]uint64
+	if k := len(wantG); k > 0 {
+		changed := slices.Clone(wantG)
+		changed[k-1] += 1 << 40
+		stales = [][]uint64{append(slices.Clone(wantG), 1<<40), wantG[: k-1 : k-1], changed}
+	}
+	for _, stale := range stales {
+		other, err := buildComposite(in.part, in.views, ghosts, stale)
+		if err != nil {
+			t.Fatalf("buildComposite: %v", err)
+		}
+		if !slices.Equal(other.gids, wantG) {
+			t.Fatalf("rebuild with a stale vertex list %v: GlobalIDs %v, oracle %v", stale, other.gids, wantG)
+		}
 	}
 	if !slices.Equal(got.csr.Off, want.Off) || !slices.Equal(got.csr.Col, want.Col) {
 		t.Fatalf("adjacency Off=%v Col=%v, oracle Off=%v Col=%v", got.csr.Off, got.csr.Col, want.Off, want.Col)

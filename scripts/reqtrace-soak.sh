@@ -22,8 +22,7 @@ trap cleanup EXIT
 go build -race -o "$tmp/h2tap-server" ./cmd/h2tap-server
 go build -o "$tmp/h2tap-loadgen" ./cmd/h2tap-loadgen
 
-"$tmp/h2tap-server" -addr 127.0.0.1:0 -persist "$tmp/data" \
-  -pool-size $((32 * 1024 * 1024)) -sync-wal \
+"$tmp/h2tap-server" -addr 127.0.0.1:0 -persist "$tmp/data" -sync-wal \
   -trace-sample 1 -trace-slow 1ms >/dev/null 2>"$tmp/stderr" &
 pid=$!
 

@@ -20,8 +20,7 @@ trap cleanup EXIT
 go build -o "$tmp/h2tap-server" ./cmd/h2tap-server
 go build -o "$tmp/h2tap-loadgen" ./cmd/h2tap-loadgen
 
-server_args=(-addr 127.0.0.1:0 -persist "$tmp/data"
-  -pool-size $((32 * 1024 * 1024)) -drain-timeout 10s)
+server_args=(-addr 127.0.0.1:0 -persist "$tmp/data" -drain-timeout 10s)
 
 wait_addr() { # <stderr-file> <pid>
   local a=""

@@ -64,7 +64,6 @@ func openSharded(opts Options) (*DB, error) {
 		Shards:          opts.Shards,
 		Replica:         opts.Replica,
 		PersistDir:      opts.PersistDir,
-		PersistPoolSize: opts.PersistPoolSize,
 		SyncWAL:         opts.SyncWAL,
 		GroupCommit:     opts.GroupCommit,
 		FS:              opts.FS,
@@ -265,7 +264,6 @@ func (db *DB) shardedPropagate() (*PropagationReport, error) {
 		agg.Deltas += rep.Deltas
 		agg.ScanWall += rep.ScanWall
 		agg.MergeWall += rep.MergeWall
-		agg.PersistWall += rep.PersistWall
 		if rep.TransferSim > agg.TransferSim {
 			agg.TransferSim = rep.TransferSim
 		}
