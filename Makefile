@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCommit -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzCombineReplay -fuzztime $(FUZZTIME) ./internal/delta
 	$(GO) test -run '^$$' -fuzz FuzzMerge -fuzztime $(FUZZTIME) ./internal/csr
+	$(GO) test -run '^$$' -fuzz FuzzSegmentedMerge -fuzztime $(FUZZTIME) ./internal/csr
 	$(GO) test -run '^$$' -fuzz FuzzApplyBatch -fuzztime $(FUZZTIME) ./internal/dyngraph
 	$(GO) test -run '^$$' -fuzz FuzzScanGrouping -fuzztime $(FUZZTIME) ./internal/deltastore
 	$(GO) test -run '^$$' -fuzz FuzzStitchComposite -fuzztime $(FUZZTIME) ./internal/shard

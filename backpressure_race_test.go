@@ -24,7 +24,6 @@ func TestErrBackpressureSentinel(t *testing.T) {
 
 	plan := faultinject.NewGPUPlan()
 	plan.Arm(faultinject.GPUReplace, 1, faultinject.Persistent)
-	plan.Arm(faultinject.GPUReplaceStreamed, 1, faultinject.Persistent)
 	db.Engine().Device().SetFaultInjector(plan)
 
 	commitEdge := func(i int) error {
@@ -127,7 +126,6 @@ func TestBackpressureRaceHealthFlips(t *testing.T) {
 	}
 	for f := 0; f < flips; f++ {
 		plan.Arm(faultinject.GPUReplace, 1, faultinject.Persistent)
-		plan.Arm(faultinject.GPUReplaceStreamed, 1, faultinject.Persistent)
 		plan.Arm(faultinject.GPUUpload, 1, faultinject.Persistent)
 		db.Propagate() //nolint:errcheck // expected to fail while wedged
 		plan.Heal()

@@ -77,7 +77,6 @@ func TestBackpressureWhenDegradedAndOverHighWater(t *testing.T) {
 	// Wedge the device: every replica apply and rebuild path faults.
 	plan := faultinject.NewGPUPlan()
 	plan.Arm(faultinject.GPUReplace, 1, faultinject.Persistent)
-	plan.Arm(faultinject.GPUReplaceStreamed, 1, faultinject.Persistent)
 	db.Engine().Device().SetFaultInjector(plan)
 
 	commitEdge := func(i int) error {

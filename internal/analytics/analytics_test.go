@@ -170,14 +170,16 @@ func replicaViews(seed int64, n, avgDeg int) []view {
 	c := randomCSR(seed, n, avgDeg)
 	dg := dyngraph.FromCSR(c)
 	sl := sortledton.FromCSR(c)
+	sg := csr.Cut(c)
 	r := rand.New(rand.NewSource(seed))
 	for i := 0; i < 4; i++ {
 		batch := randomBatch(r, uint64(c.NumNodes()))
 		c, _ = csr.Merge(c, batch)
 		dg.ApplyBatch(batch)
 		sl.ApplyBatch(batch)
+		sg, _ = sg.Merge(batch, 0)
 	}
-	return []view{{"csr", CSRGraph{c}}, {"dyngraph", dg}, {"sortledton", sl}}
+	return []view{{"csr", CSRGraph{c}}, {"dyngraph", dg}, {"sortledton", sl}, {"segmented", sg}}
 }
 
 // randomBatch builds a node-sorted batch over oldN existing nodes the way a

@@ -134,3 +134,29 @@ func TestInjectedFailureIsSurfacedNotFatal(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashAfterFirstCommitBeforeCheckpoint crashes the workload at the
+// first persist operation after its first commit was acknowledged, before
+// any checkpoint has rewritten the log. Until then the log is the file the
+// first open created, so the commit survives only if that creation was
+// made durable by a directory sync.
+func TestCrashAfterFirstCommitBeforeCheckpoint(t *testing.T) {
+	g, err := GoldenRun(t.TempDir())
+	if err != nil {
+		t.Fatalf("golden run: %v", err)
+	}
+	for p := int64(1); p <= g.Points(); p++ {
+		res := RunPoint(t.TempDir(), p, faultinject.TearNone, g.Fps)
+		if res.Completed == 0 {
+			continue
+		}
+		if res.Err != nil {
+			t.Fatalf("crash at op %d (%s) after the first commit: %v", p, g.OpPaths[p-1], res.Err)
+		}
+		if res.Recovered < 1 {
+			t.Fatalf("crash at op %d: recovered %d commits, want the acked one", p, res.Recovered)
+		}
+		return
+	}
+	t.Fatal("no persist point follows the first commit")
+}

@@ -1,8 +1,8 @@
 // GPU-fault enumeration: the device-side sibling of the filesystem crash
 // harness. A deterministic commit + propagate + analytics workload runs
 // against the simulated GPU with a fault plan armed at the Nth occurrence
-// of one device operation (malloc, upload, replace, replace-streamed,
-// ingest, kernel launch), transient or persistent, and the propagation
+// of one device operation (malloc, upload, replace, ingest, kernel
+// launch), transient or persistent, and the propagation
 // invariants are asserted after every cycle:
 //
 //   - Failure-atomic consumption: a failed propagation cycle consumes

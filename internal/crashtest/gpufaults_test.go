@@ -31,7 +31,7 @@ func TestGPUGoldenDeterministic(t *testing.T) {
 		if c1[faultinject.GPULaunch] == 0 {
 			t.Errorf("%v: workload never launches a kernel", replica)
 		}
-		apply := faultinject.GPUReplaceStreamed
+		apply := faultinject.GPUReplace
 		if replica == htap.DynamicHash {
 			apply = faultinject.GPUIngest
 		}

@@ -175,41 +175,3 @@ func TestMergeDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeObservedShards checks the shard callback contract the engine's
-// transfer overlap relies on: shards tile the row space exactly once and
-// their byte sizes sum to the output payload (modulo the Off[0] word).
-func TestMergeObservedShards(t *testing.T) {
-	r := rand.New(rand.NewSource(0x5a5a))
-	old := randomCSR(r, 300)
-	batch := randomBatch(r, 300)
-	for _, w := range []int{1, 3, 8} {
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		var shards []MergeShard
-		out, _ := MergeObserved(old, batch, w, func(s MergeShard) {
-			<-mu
-			shards = append(shards, s)
-			mu <- struct{}{}
-		})
-		covered := make([]bool, out.NumNodes())
-		var bytes int64
-		for _, s := range shards {
-			for r := s.FirstRow; r < s.EndRow; r++ {
-				if covered[r] {
-					t.Fatalf("workers=%d: row %d covered twice", w, r)
-				}
-				covered[r] = true
-			}
-			bytes += s.Bytes
-		}
-		for r, ok := range covered {
-			if !ok {
-				t.Fatalf("workers=%d: row %d not covered by any shard", w, r)
-			}
-		}
-		if want := out.Bytes() - 8; bytes != want {
-			t.Fatalf("workers=%d: shard bytes sum %d, want %d", w, bytes, want)
-		}
-	}
-}

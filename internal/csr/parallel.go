@@ -42,44 +42,18 @@ func normWorkers(w int) int {
 	return w
 }
 
-// MergeShard describes one completed shard of a parallel merge: a
-// contiguous row range [FirstRow, EndRow) whose offsets and edges are fully
-// written. Bytes is the device payload the shard contributes (row offsets
-// plus column/value pairs); the engine uses it to overlap the simulated GPU
-// transfer of finished shards with the writing of later ones.
-type MergeShard struct {
-	Index    int
-	FirstRow uint64
-	EndRow   uint64
-	Bytes    int64
-}
-
 // MergeWorkers is Merge with an explicit worker count. workers <= 0 selects
 // DefaultWorkers; 1 runs the serial algorithm. The output is byte-identical
 // to MergeSerial for every worker count.
 func MergeWorkers(old *CSR, batch *delta.Batch, workers int) (*CSR, MergeStats) {
-	return MergeObserved(old, batch, workers, nil)
-}
-
-// MergeObserved is MergeWorkers plus a shard-completion callback, invoked
-// once per shard (from worker goroutines, in arbitrary order) as soon as
-// that shard's rows are fully written. With one worker the whole output is
-// a single shard, reported after the serial merge finishes.
-func MergeObserved(old *CSR, batch *delta.Batch, workers int, onShard func(MergeShard)) (*CSR, MergeStats) {
 	workers = normWorkers(workers)
 	if workers == 1 {
-		out, st := MergeSerial(old, batch)
-		if onShard != nil {
-			n := uint64(out.NumNodes())
-			onShard(MergeShard{Index: 0, FirstRow: 0, EndRow: n,
-				Bytes: int64(n)*8 + int64(len(out.Col))*16})
-		}
-		return out, st
+		return MergeSerial(old, batch)
 	}
-	return mergeParallel(old, batch, workers, onShard)
+	return mergeParallel(old, batch, workers)
 }
 
-func mergeParallel(old *CSR, batch *delta.Batch, workers int, onShard func(MergeShard)) (*CSR, MergeStats) {
+func mergeParallel(old *CSR, batch *delta.Batch, workers int) (*CSR, MergeStats) {
 	oldN := uint64(old.NumNodes())
 	newN := oldN
 	for i := range batch.Deltas {
@@ -91,9 +65,6 @@ func mergeParallel(old *CSR, batch *delta.Batch, workers int, onShard func(Merge
 	if newN == 0 {
 		out.Col = make([]uint64, 0)
 		out.Val = make([]float64, 0)
-		if onShard != nil {
-			onShard(MergeShard{Index: 0})
-		}
 		return out, MergeStats{}
 	}
 
@@ -191,14 +162,6 @@ func mergeParallel(old *CSR, batch *delta.Batch, workers int, onShard func(Merge
 				}
 				at += size
 				out.Off[r+1] = at
-			}
-			if onShard != nil {
-				onShard(MergeShard{
-					Index:    s,
-					FirstRow: lo,
-					EndRow:   hi,
-					Bytes:    int64(hi-lo)*8 + (bases[s+1]-bases[s])*16,
-				})
 			}
 		}(s)
 	}

@@ -42,12 +42,12 @@ func (c Config) FaultsExp() *Table {
 	scenarios := []faultScenario{
 		{name: "clean"},
 		{name: "transient", kind: faultinject.Transient,
-			staticOps: []string{faultinject.GPUReplace, faultinject.GPUReplaceStreamed},
+			staticOps: []string{faultinject.GPUReplace},
 			dynOps:    []string{faultinject.GPUIngest}},
 		// Persistent faults hit the delta apply AND the rebuild fallback's
 		// upload, so every rung fails until the device heals.
 		{name: "persistent+heal", kind: faultinject.Persistent,
-			staticOps: []string{faultinject.GPUReplace, faultinject.GPUReplaceStreamed},
+			staticOps: []string{faultinject.GPUReplace},
 			dynOps:    []string{faultinject.GPUIngest, faultinject.GPUUpload}},
 	}
 

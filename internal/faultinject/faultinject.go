@@ -11,7 +11,10 @@
 // (TearHalf), and nothing after the crash reaches storage. This matches the
 // durability model of the simulated persistent memory (internal/pmem), where
 // each write-through is the persist fence, and gives the WAL its
-// prefix-durability assumption.
+// prefix-durability assumption. File existence is the exception: a file
+// created since its directory's last SyncDir is lost in the crash, as a
+// power loss drops an unsynced directory entry. Renames and removes count
+// as durable when applied.
 //
 // internal/crashtest enumerates crash points over a full workload; this
 // package only implements the mechanism.
@@ -20,6 +23,7 @@ package faultinject
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 
@@ -76,12 +80,14 @@ type FS struct {
 	scope   string
 	record  bool
 	paths   []string // path of each counted operation, while recording
+	// unsynced holds the files created since their directory's last sync.
+	unsynced map[string]bool
 }
 
 // New wraps inner with fault injection. With no plan installed it only
 // counts mutating operations (see Ops), which is how a harness discovers the
 // persist points of a workload before enumerating crashes at each.
-func New(inner vfs.FS) *FS { return &FS{inner: inner} }
+func New(inner vfs.FS) *FS { return &FS{inner: inner, unsynced: map[string]bool{}} }
 
 // FailAt makes mutating operation n (1-based) return ErrInjected without
 // being applied; 0 disables. The filesystem keeps working afterwards.
@@ -212,16 +218,34 @@ func (f *FS) step(path string) verdict {
 	}
 	if f.ops == f.crashAt {
 		f.crashed = true
-		switch f.tear {
-		case TearHalf:
-			return vTorn
-		case TearAll:
-			return vAfter
-		default:
-			return vDrop
+		if f.tear == TearAll {
+			return vAfter // the caller applies the operation, then loses
 		}
+		f.loseLocked()
+		if f.tear == TearHalf {
+			return vTorn
+		}
+		return vDrop
 	}
 	return vApply
+}
+
+// loseLocked removes the in-scope files no directory sync has made
+// durable, as the crash drops their directory entries. Callers hold mu.
+func (f *FS) loseLocked() {
+	for p := range f.unsynced {
+		if f.inScope(p) {
+			f.inner.Remove(p) //nolint:errcheck // a renamed or removed file is gone already
+			delete(f.unsynced, p)
+		}
+	}
+}
+
+// lose is loseLocked for an operation that crashed after applying.
+func (f *FS) lose() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.loseLocked()
 }
 
 // crashedFor reports whether path is inside a crashed scope.
@@ -231,25 +255,19 @@ func (f *FS) crashedFor(path string) bool {
 	return f.crashed && f.inScope(path)
 }
 
-// mutating is true for open flags that change the filesystem.
-func mutatingOpen(name string, flag int, fsys vfs.FS) bool {
-	if flag&os.O_TRUNC != 0 {
-		return true
-	}
-	if flag&os.O_CREATE != 0 {
-		if _, err := fsys.Stat(name); err != nil {
-			return true // would create the file
-		}
-	}
-	return false
+// creatingOpen is true for open flags that would create name.
+func creatingOpen(name string, flag int, fsys vfs.FS) bool {
+	_, err := fsys.Stat(name)
+	return flag&os.O_CREATE != 0 && err != nil
 }
 
 var _ vfs.FS = (*FS)(nil)
 
 // OpenFile opens name. Opens that create or truncate count as mutating.
 func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
-	if mutatingOpen(name, flag, f.inner) {
-		switch f.step(name) {
+	creating, v := creatingOpen(name, flag, f.inner), vApply
+	if creating || flag&os.O_TRUNC != 0 {
+		switch v = f.step(name); v {
 		case vFail:
 			return nil, ErrInjected
 		case vDrop, vTorn:
@@ -265,6 +283,14 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error)
 	if err != nil {
 		return nil, err
 	}
+	f.mu.Lock()
+	if creating {
+		f.unsynced[name] = true
+	}
+	if v == vAfter {
+		f.loseLocked()
+	}
+	f.mu.Unlock()
 	return &faultFile{f: file, fs: f, path: name}, nil
 }
 
@@ -279,6 +305,7 @@ func (f *FS) Rename(oldname, newname string) error {
 		if err := f.inner.Rename(oldname, newname); err != nil {
 			return err
 		}
+		f.lose()
 		return ErrCrashed
 	}
 	return f.inner.Rename(oldname, newname)
@@ -295,6 +322,7 @@ func (f *FS) Remove(name string) error {
 		if err := f.inner.Remove(name); err != nil {
 			return err
 		}
+		f.lose()
 		return ErrCrashed
 	}
 	return f.inner.Remove(name)
@@ -312,20 +340,31 @@ func (f *FS) MkdirAll(name string, perm os.FileMode) error {
 	return f.inner.MkdirAll(name, perm)
 }
 
-// SyncDir is one mutating operation (it publishes renames/creations).
+// SyncDir is one mutating operation: the files created in name since its
+// last sync survive a crash from then on.
 func (f *FS) SyncDir(name string) error {
-	switch f.step(name) {
+	v := f.step(name)
+	switch v {
 	case vFail:
 		return ErrInjected
 	case vDrop, vTorn:
 		return ErrCrashed
-	case vAfter:
-		if err := f.inner.SyncDir(name); err != nil {
-			return err
+	}
+	if err := f.inner.SyncDir(name); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for p := range f.unsynced {
+		if filepath.Dir(p) == filepath.Clean(name) {
+			delete(f.unsynced, p)
 		}
+	}
+	if v == vAfter {
+		f.loseLocked()
 		return ErrCrashed
 	}
-	return f.inner.SyncDir(name)
+	return nil
 }
 
 // faultFile routes a file's mutating operations through the FS plan.
@@ -356,6 +395,7 @@ func (w *faultFile) Write(p []byte) (int, error) {
 		if n, err := w.f.Write(p); err != nil {
 			return n, err
 		}
+		w.fs.lose()
 		return len(p), ErrCrashed
 	}
 	return w.f.Write(p)
@@ -374,6 +414,7 @@ func (w *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		if n, err := w.f.WriteAt(p, off); err != nil {
 			return n, err
 		}
+		w.fs.lose()
 		return len(p), ErrCrashed
 	}
 	return w.f.WriteAt(p, off)
@@ -389,6 +430,7 @@ func (w *faultFile) Truncate(size int64) error {
 		if err := w.f.Truncate(size); err != nil {
 			return err
 		}
+		w.fs.lose()
 		return ErrCrashed
 	}
 	return w.f.Truncate(size)
@@ -404,6 +446,7 @@ func (w *faultFile) Sync() error {
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
+		w.fs.lose()
 		return ErrCrashed
 	}
 	return w.f.Sync()

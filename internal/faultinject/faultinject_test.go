@@ -22,6 +22,20 @@ func write(t *testing.T, fsys vfs.FS, path string, data []byte) error {
 	return f.Close()
 }
 
+// createSynced creates path and syncs its directory, so the file itself
+// survives a crash and only its contents are at stake.
+func createSynced(t *testing.T, fsys vfs.FS, path string) vfs.File {
+	t.Helper()
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestCountsMutatingOpsOnly(t *testing.T) {
 	dir := t.TempDir()
 	ffs := New(vfs.OS())
@@ -108,10 +122,7 @@ func TestCrashTearHalf(t *testing.T) {
 	dir := t.TempDir()
 	ffs := New(vfs.OS())
 	path := filepath.Join(dir, "a")
-	f, err := ffs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := createSynced(t, ffs, path)
 	defer f.Close()
 
 	ffs.CrashAt(ffs.Ops()+1, TearHalf)
@@ -165,10 +176,7 @@ func TestCrashTearAllAppliesThenBlocks(t *testing.T) {
 	dir := t.TempDir()
 	ffs := New(vfs.OS())
 	path := filepath.Join(dir, "a")
-	f, err := ffs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := createSynced(t, ffs, path)
 	defer f.Close()
 
 	ffs.CrashAt(ffs.Ops()+1, TearAll)
@@ -188,10 +196,7 @@ func TestCrashTearNoneDrops(t *testing.T) {
 	dir := t.TempDir()
 	ffs := New(vfs.OS())
 	path := filepath.Join(dir, "a")
-	f, err := ffs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := createSynced(t, ffs, path)
 	defer f.Close()
 
 	ffs.CrashAt(ffs.Ops()+1, TearNone)
@@ -222,5 +227,57 @@ func TestCrashAtRenameTearAll(t *testing.T) {
 	}
 	if _, err := os.Stat(oldp); err == nil {
 		t.Fatal("tear-all rename left the old name")
+	}
+}
+
+// TestCrashLosesUnsyncedCreation checks the crash image's namespace rule:
+// a file created since its directory's last sync is gone after a crash,
+// even with its contents synced, while a file whose creation was followed
+// by a directory sync — including one the crashing operation applied in
+// full — survives.
+func TestCrashLosesUnsyncedCreation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		syncDir  bool // sync the directory before the crash point
+		crashDir bool // the crashing operation is that directory sync
+		survives bool
+	}{
+		{"never-synced", false, false, false},
+		{"synced", true, false, true},
+		{"sync-is-the-crash", false, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := New(vfs.OS())
+			path := filepath.Join(dir, "log")
+			f, err := ffs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.syncDir {
+				if err := ffs.SyncDir(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ffs.CrashAt(ffs.Ops()+1, TearAll)
+			if tc.crashDir {
+				if err := ffs.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("crashing dir sync: %v", err)
+				}
+			} else if _, err := f.Write([]byte("next")); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crashing write: %v", err)
+			}
+			got, err := os.ReadFile(path)
+			if survives := err == nil; survives != tc.survives {
+				t.Fatalf("file survives = %v (%q, %v), want %v", survives, got, err, tc.survives)
+			}
+		})
 	}
 }

@@ -32,16 +32,15 @@ var ErrGPUInjected = errors.New("faultinject: injected GPU fault")
 // GPU operation names — the fault points internal/gpu checks. Plain
 // strings so the gpu package does not need to import this one.
 const (
-	GPUMalloc          = "malloc"
-	GPUUpload          = "upload"
-	GPUReplace         = "replace"
-	GPUReplaceStreamed = "replace-streamed"
-	GPUIngest          = "ingest"
-	GPULaunch          = "launch"
+	GPUMalloc  = "malloc"
+	GPUUpload  = "upload"
+	GPUReplace = "replace"
+	GPUIngest  = "ingest"
+	GPULaunch  = "launch"
 )
 
 // GPUOps lists every fault point, for harnesses that enumerate them.
-var GPUOps = []string{GPUMalloc, GPUUpload, GPUReplace, GPUReplaceStreamed, GPUIngest, GPULaunch}
+var GPUOps = []string{GPUMalloc, GPUUpload, GPUReplace, GPUIngest, GPULaunch}
 
 // GPUFaultKind selects transient (fail once) or persistent (fail until
 // healed) behavior for an armed rule.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"h2tap/internal/csr"
 	"h2tap/internal/delta"
@@ -27,12 +26,11 @@ var ErrOutOfMemory = errors.New("gpu: out of device memory")
 // They match internal/faultinject's GPU* constants; plain strings keep the
 // two packages decoupled.
 const (
-	OpMalloc          = "malloc"
-	OpUpload          = "upload"
-	OpReplace         = "replace"
-	OpReplaceStreamed = "replace-streamed"
-	OpIngest          = "ingest"
-	OpLaunch          = "launch"
+	OpMalloc  = "malloc"
+	OpUpload  = "upload"
+	OpReplace = "replace"
+	OpIngest  = "ingest"
+	OpLaunch  = "launch"
 )
 
 // FaultInjector is the hook the device consults before each fallible
@@ -67,27 +65,25 @@ type Device struct {
 
 	// Per-op success counters and the injected-fault tally, for metrics
 	// exposition (pull-based: read at scrape time via Stats).
-	mallocs          atomic.Int64
-	uploads          atomic.Int64
-	replaces         atomic.Int64
-	replacesStreamed atomic.Int64
-	ingests          atomic.Int64
-	faultsInjected   atomic.Int64
+	mallocs        atomic.Int64
+	uploads        atomic.Int64
+	replaces       atomic.Int64
+	ingests        atomic.Int64
+	faultsInjected atomic.Int64
 }
 
 // DeviceStats is a snapshot of the device's operation counters.
 type DeviceStats struct {
-	Mallocs          int64
-	Uploads          int64
-	Replaces         int64
-	ReplacesStreamed int64
-	Ingests          int64
-	Launches         int64
-	FaultsInjected   int64
-	BytesToDevice    int64
-	BytesToHost      int64
-	MemUsed          int64
-	SimTotal         sim.Duration
+	Mallocs        int64
+	Uploads        int64
+	Replaces       int64
+	Ingests        int64
+	Launches       int64
+	FaultsInjected int64
+	BytesToDevice  int64
+	BytesToHost    int64
+	MemUsed        int64
+	SimTotal       sim.Duration
 }
 
 // Stats snapshots the operation counters for metrics exposition.
@@ -96,17 +92,16 @@ func (d *Device) Stats() DeviceStats {
 	launches, hToD, dToH, simTotal := d.launches, d.hToD, d.dToH, d.simTotal
 	d.mu.Unlock()
 	return DeviceStats{
-		Mallocs:          d.mallocs.Load(),
-		Uploads:          d.uploads.Load(),
-		Replaces:         d.replaces.Load(),
-		ReplacesStreamed: d.replacesStreamed.Load(),
-		Ingests:          d.ingests.Load(),
-		Launches:         launches,
-		FaultsInjected:   d.faultsInjected.Load(),
-		BytesToDevice:    hToD,
-		BytesToHost:      dToH,
-		MemUsed:          d.memUsed.Load(),
-		SimTotal:         simTotal,
+		Mallocs:        d.mallocs.Load(),
+		Uploads:        d.uploads.Load(),
+		Replaces:       d.replaces.Load(),
+		Ingests:        d.ingests.Load(),
+		Launches:       launches,
+		FaultsInjected: d.faultsInjected.Load(),
+		BytesToDevice:  hToD,
+		BytesToHost:    dToH,
+		MemUsed:        d.memUsed.Load(),
+		SimTotal:       simTotal,
 	}
 }
 
@@ -266,132 +261,66 @@ func (d *Device) Launch(class string, work float64) (sim.Duration, error) {
 }
 
 // ResidentCSR is a CSR replica resident in device memory — the static
-// replica of Fig 1 (bottom right). Replace swaps in a new CSR, modelling
-// the "new CSR transferred to the GPU to replace the old CSR" step (§5.4).
+// replica of Fig 1 (bottom right), held as csr.Segmented versions. Replace
+// swaps in a new version, modelling the "new CSR transferred to the GPU to
+// replace the old CSR" step (§5.4) for the segments the version rebuilt.
 type ResidentCSR struct {
 	dev *Device
 	buf *Buffer
-	c   *csr.CSR
+	s   *csr.Segmented
 }
 
-// UploadCSR allocates device memory for c and transfers it.
-func UploadCSR(d *Device, c *csr.CSR) (*ResidentCSR, sim.Duration, error) {
+// UploadCSR allocates device memory for s and transfers it whole.
+func UploadCSR(d *Device, s *csr.Segmented) (*ResidentCSR, sim.Duration, error) {
 	if err := d.fault(OpUpload); err != nil {
 		return nil, 0, err
 	}
-	buf, err := d.Malloc(c.Bytes())
+	buf, err := d.Malloc(s.Bytes())
 	if err != nil {
 		return nil, 0, err
 	}
-	t := d.HostToDevice(c.Bytes())
+	t := d.HostToDevice(s.Bytes())
 	d.uploads.Add(1)
-	return &ResidentCSR{dev: d, buf: buf, c: c}, t, nil
+	return &ResidentCSR{dev: d, buf: buf, s: s}, t, nil
 }
 
-// CSR exposes the device-resident CSR content (host-backed in the
+// Segmented exposes the device-resident version (host-backed in the
 // simulation) for kernels.
-func (r *ResidentCSR) CSR() *csr.CSR { return r.c }
+func (r *ResidentCSR) Segmented() *csr.Segmented { return r.s }
 
-// Replace uploads the new CSR and frees the old replica's memory. On
-// error (injected fault or OOM) the replica keeps serving its previous
-// content: r.c is only swapped after the transfer, so a failed Replace is
+// Replace installs a new version and frees the old replica's memory. The
+// bus carries only the segments the version built (s.NewBytes()); the
+// segments it shares with the resident version are already on the device.
+// On error (injected fault or OOM) the replica keeps serving its previous
+// content: r.s is only swapped after the transfer, so a failed Replace is
 // failure-atomic with respect to the replica's readable state. (The old
 // buffer may have been freed for the OOM retry; a later successful Replace
 // re-establishes the accounting — Free is idempotent.)
-func (r *ResidentCSR) Replace(c *csr.CSR) (sim.Duration, error) {
+func (r *ResidentCSR) Replace(s *csr.Segmented) (sim.Duration, error) {
 	if err := r.dev.fault(OpReplace); err != nil {
 		return 0, err
 	}
-	buf, err := r.dev.Malloc(c.Bytes())
+	buf, err := r.dev.Malloc(s.Bytes())
 	if err != nil {
 		// The A100 holds two SF30 CSRs comfortably; if it cannot, free
 		// first and retry — trading the brief double-residency away.
 		r.buf.Free()
-		buf, err = r.dev.Malloc(c.Bytes())
+		buf, err = r.dev.Malloc(s.Bytes())
 		if err != nil {
 			return 0, err
 		}
 	} else {
 		r.buf.Free()
 	}
-	t := r.dev.HostToDevice(c.Bytes())
+	t := r.dev.HostToDevice(s.NewBytes())
 	r.buf = buf
-	r.c = c
+	r.s = s
 	r.dev.replaces.Add(1)
 	return t, nil
 }
 
 // Free releases the replica's device memory.
 func (r *ResidentCSR) Free() { r.buf.Free() }
-
-// StreamSegment is one ready-to-ship piece of a new CSR: Bytes of payload
-// that became available Ready after the merge started (wall clock of the
-// producing merge worker).
-type StreamSegment struct {
-	Bytes int64
-	Ready time.Duration
-}
-
-// ReplaceStreamed uploads the new CSR as a sequence of segments pipelined
-// against their production: segment i's transfer starts when both the bus
-// is free and the segment is ready, so early segments ship while later rows
-// are still being merged (§5.4's transfer overlapped with the parallel
-// merge). mergeWall is the wall-clock duration of the whole merge.
-//
-// It returns the *exposed* transfer time — the simulated bus time extending
-// past the merge, which is what the propagation cycle actually waits for —
-// and the total bus busy time (the sum of per-segment transfers, also
-// charged to the device as HostToDevice). With no overlap (every segment
-// ready at mergeWall) exposed equals the full transfer, matching Replace.
-func (r *ResidentCSR) ReplaceStreamed(c *csr.CSR, segs []StreamSegment, mergeWall time.Duration) (exposed, bus sim.Duration, err error) {
-	if err := r.dev.fault(OpReplaceStreamed); err != nil {
-		return 0, 0, err
-	}
-	buf, err := r.dev.Malloc(c.Bytes())
-	if err != nil {
-		r.buf.Free()
-		buf, err = r.dev.Malloc(c.Bytes())
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		r.buf.Free()
-	}
-
-	// Pipelined bus timeline in simulated time. Wall-clock ready times map
-	// 1:1 onto the simulated timeline: the host-side merge runs for real
-	// here, the bus is the simulated part.
-	var busFree, total sim.Duration
-	var streamed int64
-	for _, s := range segs {
-		ready := sim.Duration(s.Ready)
-		if ready > busFree {
-			busFree = ready
-		}
-		t := r.dev.HostToDevice(s.Bytes)
-		busFree += t
-		total += t
-		streamed += s.Bytes
-	}
-	// Whatever the segments did not cover (e.g. the Off[0] word, or an
-	// empty segment list) ships after the merge completes.
-	if rest := c.Bytes() - streamed; rest > 0 {
-		t := r.dev.HostToDevice(rest)
-		if w := sim.Duration(mergeWall); busFree < w {
-			busFree = w
-		}
-		busFree += t
-		total += t
-	}
-	exposed = busFree - sim.Duration(mergeWall)
-	if exposed < 0 {
-		exposed = 0
-	}
-	r.buf = buf
-	r.c = c
-	r.dev.replacesStreamed.Add(1)
-	return exposed, total, nil
-}
 
 // ResidentDyn is a dynamic-structure replica in device memory — the dynamic
 // path of Fig 1 (top right). Ingest coalesces a propagation batch, ships it

@@ -75,7 +75,7 @@ func TestLaunch(t *testing.T) {
 
 func TestUploadAndReplaceCSR(t *testing.T) {
 	d := DefaultA100()
-	c := smallCSR()
+	c := csr.Cut(smallCSR())
 	r, dur, err := UploadCSR(d, c)
 	if err != nil {
 		t.Fatal(err)
@@ -83,23 +83,25 @@ func TestUploadAndReplaceCSR(t *testing.T) {
 	if dur <= 0 {
 		t.Fatal("upload charged no time")
 	}
-	if d.MemUsed() != c.Bytes() {
-		t.Fatalf("MemUsed = %d, want %d", d.MemUsed(), c.Bytes())
+	if d.MemUsed() != c.Bytes() || d.BytesToDevice() != c.Bytes() {
+		t.Fatalf("MemUsed = %d, shipped %d, want %d", d.MemUsed(), d.BytesToDevice(), c.Bytes())
 	}
-	if r.CSR() != c {
+	if r.Segmented() != c {
 		t.Fatal("resident CSR mismatch")
 	}
 
-	bigger := &csr.CSR{
-		Off: []int64{0, 1, 2, 3, 4},
-		Col: []uint64{1, 2, 3, 0},
-		Val: []float64{1, 1, 1, 1},
-	}
+	// A merged version ships only the segment it rebuilt.
+	bigger, _ := c.Merge(&delta.Batch{Deltas: []delta.Combined{
+		{Node: 3, Inserted: true, Ins: []delta.Edge{{Dst: 0, W: 1}}},
+	}}, 1)
 	if _, err := r.Replace(bigger); err != nil {
 		t.Fatal(err)
 	}
 	if d.MemUsed() != bigger.Bytes() {
 		t.Fatalf("MemUsed after replace = %d, want %d", d.MemUsed(), bigger.Bytes())
+	}
+	if got := d.BytesToDevice() - c.Bytes(); got != bigger.NewBytes() {
+		t.Fatalf("replace shipped %d bytes, want the rebuilt segment's %d", got, bigger.NewBytes())
 	}
 	r.Free()
 	if d.MemUsed() != 0 {
@@ -108,14 +110,14 @@ func TestUploadAndReplaceCSR(t *testing.T) {
 }
 
 func TestReplaceTightMemoryFallback(t *testing.T) {
-	c := smallCSR()
+	c := csr.Cut(smallCSR())
 	// Device fits exactly one copy: Replace must free-then-alloc.
 	d := NewDevice(Config{MemBytes: c.Bytes() + 8, PCIe: sim.DefaultPCIe()})
 	r, _, err := UploadCSR(d, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Replace(c.Copy()); err != nil {
+	if _, err := r.Replace(csr.Cut(smallCSR())); err != nil {
 		t.Fatalf("tight-memory replace failed: %v", err)
 	}
 	if d.MemUsed() != c.Bytes() {
@@ -125,7 +127,7 @@ func TestReplaceTightMemoryFallback(t *testing.T) {
 
 func TestUploadTooBig(t *testing.T) {
 	d := NewDevice(Config{MemBytes: 10, PCIe: sim.DefaultPCIe()})
-	if _, _, err := UploadCSR(d, smallCSR()); !errors.Is(err, ErrOutOfMemory) {
+	if _, _, err := UploadCSR(d, csr.Cut(smallCSR())); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("upload beyond capacity = %v", err)
 	}
 }

@@ -79,9 +79,7 @@ type Config struct {
 	CostModels *costmodel.WorkerModels
 	// Workers is the propagation worker count used for the delta scan's
 	// grouping pass, the CSR merge/rebuild, and the dynamic-structure
-	// ingest. <= 0 selects GOMAXPROCS. With more than one worker the
-	// static path also streams merged node-range segments to the device as
-	// they finish, overlapping transfer with the merge.
+	// ingest. <= 0 selects GOMAXPROCS.
 	Workers int
 	// PageRankIters and Damping parameterize PageRank (defaults 10, 0.85).
 	PageRankIters int
@@ -129,10 +127,9 @@ type PropagationReport struct {
 	MergeWall  time.Duration // CSR merge (§5.4) or rebuild
 	MergeStats csr.MergeStats
 
-	// TransferSim is the transfer cost on the critical path. When
-	// Overlapped, early merge shards streamed to the device while later
-	// shards were still merging, so this is only the exposed tail;
-	// TransferBusSim is the full bus busy time.
+	// TransferSim is the transfer cost on the critical path. TransferBusSim
+	// is the bus busy time; every transfer runs after the merge, so the two
+	// are equal and Overlapped is false.
 	TransferSim    sim.Duration
 	TransferBusSim sim.Duration
 	Overlapped     bool
@@ -167,7 +164,8 @@ type PredictedCosts struct {
 	FromModel bool
 	// Scan is the scan model evaluated at the cycle's record count.
 	Scan time.Duration
-	// Merge is copy(graph size) + modify(record count) — the delta path.
+	// Merge is copy(edges in the segments the batch touches) +
+	// modify(record count) — the delta path.
 	Merge time.Duration
 	// Rebuild is the rebuild model at the rebuilt graph's edge count.
 	Rebuild time.Duration
@@ -216,9 +214,10 @@ type Engine struct {
 	// dynamic graph has no lock of its own); kernels and AcquireReplica
 	// holders read under it shared for the duration of a run (one replica
 	// version at a time, §4.3).
+	// The static replica's host copy (the version the merge reads, §5.4)
+	// is staticRep.Segmented(); only cycles, under propMu, replace it.
 	replicaMu sync.RWMutex
 	staticRep *gpu.ResidentCSR
-	hostCSR   *csr.CSR // the CPU copy the merge reads (§5.4)
 	dynRep    *gpu.ResidentDyn
 	replicaTS mvto.TS
 
@@ -314,12 +313,11 @@ func newEngine(store *graph.Store, cfg Config, register bool) (*Engine, error) {
 	}
 	switch cfg.Replica {
 	case StaticCSR:
-		rep, _, err := gpu.UploadCSR(cfg.Device, base)
+		rep, _, err := gpu.UploadCSR(cfg.Device, csr.Cut(base))
 		if err != nil {
 			return nil, fmt.Errorf("htap: initial replica upload: %w", err)
 		}
 		e.staticRep = rep
-		e.hostCSR = base
 	case DynamicHash:
 		rep, _, err := gpu.UploadDyn(cfg.Device, dyngraph.FromCSR(base))
 		if err != nil {
@@ -475,8 +473,10 @@ func (e *Engine) runCycle(bound mvto.TS, rep *PropagationReport, tc *obs.Cycle) 
 		rep.Predicted.FromModel = true
 		rep.Predicted.Scan = modelDur(m.Scan.Predict(float64(rep.Records)))
 		if e.cfg.Replica == StaticCSR {
-			// The copy/modify models describe the CSR merge.
-			rep.Predicted.Merge = modelDur(m.Copy.Predict(float64(e.hostCSR.NumEdges())) +
+			// The copy/modify models describe the CSR merge, which copies
+			// only the segments the batch touches.
+			touched := e.staticRep.Segmented().TouchedEdges(sc.Batch)
+			rep.Predicted.Merge = modelDur(m.Copy.Predict(float64(touched)) +
 				m.Modify.Predict(float64(rep.Records)))
 		}
 	}
@@ -509,77 +509,30 @@ func (e *Engine) runCycle(bound mvto.TS, rep *PropagationReport, tc *obs.Cycle) 
 // applyBatch is rung 1 of the escalation ladder: apply one staged batch to
 // the replica with bounded, backoff-spaced retries. The merge (static) is
 // host-side and infallible and runs once; only the device-side swap
-// retries. Replica state (hostCSR, dynamic structure, replicaTS) advances
+// retries. Replica state (static version, dynamic structure, replicaTS) advances
 // only inside a successful attempt, so a failed rung leaves the replica on
 // its last-good version.
 func (e *Engine) applyBatch(batch *delta.Batch, bound mvto.TS, rep *PropagationReport, workers int, tc *obs.Cycle) error {
 	switch e.cfg.Replica {
 	case StaticCSR:
-		// With parallel workers, record when each merged node-range shard
-		// finishes so the device transfer of early shards can be pipelined
-		// against the merging of later ones (§5.4's transfer, overlapped).
-		var segMu sync.Mutex
-		var shards []csr.MergeShard
-		var readys []time.Duration
-		var onShard func(csr.MergeShard)
-		mergeStart := time.Now()
-		if workers > 1 {
-			onShard = func(s csr.MergeShard) {
-				ready := time.Since(mergeStart)
-				segMu.Lock()
-				shards = append(shards, s)
-				readys = append(readys, ready)
-				segMu.Unlock()
-			}
-		}
 		sp := tc.Span("merge")
-		merged, st := csr.MergeObserved(e.hostCSR, batch, workers, onShard)
+		mergeStart := time.Now()
+		merged, st := e.staticRep.Segmented().Merge(batch, workers)
 		rep.MergeWall = time.Since(mergeStart)
 		rep.MergeStats = st
 		rep.Total.AddWall(rep.MergeWall)
 		sp.End()
-		rep.Predicted.Transfer = e.dev.PredictTransfer(merged.Bytes())
+		rep.Predicted.Transfer = e.dev.PredictTransfer(merged.NewBytes())
 
-		err := e.retryLoop(rep, tc, "transfer", func(n int) error {
+		err := e.retryLoop(rep, tc, "transfer", func(int) error {
 			e.replicaMu.Lock()
 			defer e.replicaMu.Unlock()
-			if workers > 1 && n == 1 {
-				// The simulated bus ships shards in row order (the layout
-				// order on the device); a shard can ship once it and —
-				// transitively — nothing before it is still being written,
-				// so its effective ready time is the max over itself and
-				// its predecessors. Only the first attempt streams: on a
-				// retry the merge has long finished and the ready times
-				// are meaningless, so a plain replace is both simpler and
-				// accurate.
-				segs := make([]gpu.StreamSegment, len(shards))
-				for i, s := range shards {
-					segs[s.Index] = gpu.StreamSegment{Bytes: s.Bytes, Ready: readys[i]}
-				}
-				var latest time.Duration
-				for i := range segs {
-					if segs[i].Ready > latest {
-						latest = segs[i].Ready
-					}
-					segs[i].Ready = latest
-				}
-				exposed, bus, err := e.staticRep.ReplaceStreamed(merged, segs, rep.MergeWall)
-				if err != nil {
-					return fmt.Errorf("htap: replica replace: %w", err)
-				}
-				rep.TransferSim = exposed
-				rep.TransferBusSim = bus
-				rep.Overlapped = true
-			} else {
-				t, err := e.staticRep.Replace(merged)
-				if err != nil {
-					return fmt.Errorf("htap: replica replace: %w", err)
-				}
-				rep.TransferSim = t
-				rep.TransferBusSim = t
-				rep.Overlapped = false
+			t, err := e.staticRep.Replace(merged)
+			if err != nil {
+				return fmt.Errorf("htap: replica replace: %w", err)
 			}
-			e.hostCSR = merged
+			rep.TransferSim = t
+			rep.TransferBusSim = t
 			e.replicaTS = bound
 			return nil
 		})
@@ -624,8 +577,12 @@ func (e *Engine) rebuildReplica(tp mvto.TS, rep *PropagationReport, tc *obs.Cycl
 	sp := tc.Span("rebuild")
 	start := time.Now()
 	rebuilt := csr.BuildWorkers(e.store, tp-1, e.workers())
+	var segFresh *csr.Segmented
 	var dynFresh *dyngraph.Graph
-	if e.cfg.Replica == DynamicHash {
+	switch e.cfg.Replica {
+	case StaticCSR:
+		segFresh = csr.Cut(rebuilt)
+	case DynamicHash:
 		dynFresh = dyngraph.FromCSR(rebuilt)
 	}
 	buildWall := time.Since(start)
@@ -649,11 +606,10 @@ func (e *Engine) rebuildReplica(tp mvto.TS, rep *PropagationReport, tc *obs.Cycl
 		defer e.replicaMu.Unlock()
 		switch e.cfg.Replica {
 		case StaticCSR:
-			t, err := e.staticRep.Replace(rebuilt)
+			t, err := e.staticRep.Replace(segFresh)
 			if err != nil {
 				return fmt.Errorf("htap: rebuild replace: %w", err)
 			}
-			e.hostCSR = rebuilt
 			rep.TransferSim = t
 		case DynamicHash:
 			old := e.dynRep
@@ -725,7 +681,7 @@ func (e *Engine) runKernel(res *Result, kind AnalyticsKind, src uint64) error {
 	var view analytics.Graph
 	switch e.cfg.Replica {
 	case StaticCSR:
-		view = analytics.CSRGraph{C: e.staticRep.CSR()}
+		view = e.staticRep.Segmented()
 	case DynamicHash:
 		view = e.dynRep.Graph()
 	}
@@ -784,17 +740,21 @@ func (e *Engine) AcquireReplica() (analytics.Graph, mvto.TS, func()) {
 	var view analytics.Graph
 	switch e.cfg.Replica {
 	case StaticCSR:
-		view = analytics.CSRGraph{C: e.staticRep.CSR()}
+		view = e.staticRep.Segmented()
 	case DynamicHash:
 		view = e.dynRep.Graph()
 	}
 	return view, e.replicaTS, e.replicaMu.RUnlock
 }
 
-// HostCSR exposes the CPU-side CSR copy (static replica only), for
-// benchmarking the merge in isolation.
+// HostCSR flattens the static replica's current version into one CSR (nil
+// for the dynamic replica), for tests and harnesses that compare it with a
+// fresh build.
 func (e *Engine) HostCSR() *csr.CSR {
 	e.replicaMu.RLock()
 	defer e.replicaMu.RUnlock()
-	return e.hostCSR
+	if e.staticRep == nil {
+		return nil
+	}
+	return e.staticRep.Segmented().ToCSR()
 }

@@ -247,7 +247,7 @@ func (e *Engine) Scrub() (*ScrubReport, error) {
 	var have *csr.CSR
 	switch e.cfg.Replica {
 	case StaticCSR:
-		have = e.hostCSR
+		have = e.staticRep.Segmented().ToCSR()
 	case DynamicHash:
 		have = e.dynRep.Graph().ToCSR()
 	}

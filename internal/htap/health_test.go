@@ -26,7 +26,7 @@ func TestHealthStateTable(t *testing.T) {
 		// faultOps wedge both the delta apply and the rebuild fallback.
 		faultOps []string
 	}{
-		{"static", StaticCSR, []string{faultinject.GPUReplace, faultinject.GPUReplaceStreamed}},
+		{"static", StaticCSR, []string{faultinject.GPUReplace}},
 		{"dynamic", DynamicHash, []string{faultinject.GPUIngest, faultinject.GPUUpload}},
 	}
 	for _, tc := range cases {
@@ -120,13 +120,11 @@ func TestHealthStateTable(t *testing.T) {
 // TestTransientFaultAbsorbedByRetry checks rung 1 of the ladder: a single
 // transient device fault costs one retry, not the cycle.
 func TestTransientFaultAbsorbedByRetry(t *testing.T) {
-	// Workers pinned above 1 so the first attempt uses the streamed
-	// replace and the retry demonstrably falls back to the plain one.
 	e, d := newLoadedEngine(t, Config{Replica: StaticCSR, Retry: tightRetry(), Workers: 2})
 	runMixed(t, e, d, 200, 12)
 
 	plan := faultinject.NewGPUPlan()
-	plan.Arm(faultinject.GPUReplaceStreamed, 1, faultinject.Transient)
+	plan.Arm(faultinject.GPUReplace, 1, faultinject.Transient)
 	e.Device().SetFaultInjector(plan)
 
 	rep, err := e.Propagate()
@@ -138,10 +136,6 @@ func TestTransientFaultAbsorbedByRetry(t *testing.T) {
 	}
 	if rep.Total.Wall < rep.RetryWall {
 		t.Fatalf("Total.Wall %v < RetryWall %v: retry cost not accounted", rep.Total.Wall, rep.RetryWall)
-	}
-	// The retry used the plain (non-streamed) replace.
-	if rep.Overlapped {
-		t.Fatal("retried replace still claims streaming overlap")
 	}
 	if rep.FallbackRebuild {
 		t.Fatal("transient fault escalated to rebuild")
@@ -208,7 +202,6 @@ func TestFailedCycleChargesPartialCost(t *testing.T) {
 
 	plan := faultinject.NewGPUPlan()
 	plan.Arm(faultinject.GPUReplace, 1, faultinject.Persistent)
-	plan.Arm(faultinject.GPUReplaceStreamed, 1, faultinject.Persistent)
 	e.Device().SetFaultInjector(plan)
 
 	rep, err := e.Propagate()
@@ -249,7 +242,9 @@ func TestScrubRepairsDivergence(t *testing.T) {
 	// Corrupt the replica: drop an edge from the host copy.
 	e.replicaMu.Lock()
 	corrupted := csr.Build(e.store, 0) // ancient snapshot, certainly different
-	e.hostCSR = corrupted
+	if _, err := e.staticRep.Replace(csr.Cut(corrupted)); err != nil {
+		t.Fatal(err)
+	}
 	e.replicaMu.Unlock()
 
 	sr, err = e.Scrub()

@@ -9,6 +9,7 @@ import (
 	"h2tap/internal/analytics"
 	"h2tap/internal/costmodel"
 	"h2tap/internal/csr"
+	"h2tap/internal/delta"
 	"h2tap/internal/deltastore"
 	"h2tap/internal/graph"
 	"h2tap/internal/ldbc"
@@ -358,6 +359,62 @@ func TestNewEngineWithExistingCapturer(t *testing.T) {
 	tx.Commit()
 	if got := ds.Records(); got != 1 {
 		t.Fatalf("records after one commit = %d (double registration?)", got)
+	}
+}
+
+// TestMergePredictionCopiesTouchedSegments checks the §6.4 prediction for
+// a static delta cycle: its copy term is priced at the edges of the
+// segments the batch touches, as the merge copies, not at the graph size.
+func TestMergePredictionCopiesTouchedSegments(t *testing.T) {
+	d := ldbc.GenerateSNB(ldbc.SNBConfig{SF: 1, Downscale: 100, Seed: 1})
+	s := graph.NewStore()
+	if _, err := d.Load(s); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Calibrate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Copy.B <= 0 {
+		t.Skipf("calibration measured no copy cost per edge: %+v", m.Copy)
+	}
+	// Without a modify term the prediction is the copy term alone, which
+	// the clamp at zero cannot hide; a one-second rebuild keeps the
+	// threshold from turning this one-record cycle into a rebuild.
+	m.Modify = costmodel.Linear{}
+	m.Rebuild = costmodel.Linear{A: 1}
+	e, err := NewEngine(s, Config{Replica: StaticCSR, CostModel: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := d.Persons[0], d.Posts[0]
+	tx := s.Begin()
+	if _, err := tx.AddRel(a, b, "likes", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := e.staticRep.Segmented()
+	touched := before.TouchedEdges(&delta.Batch{Deltas: []delta.Combined{{Node: uint64(a)}}})
+	if touched >= before.NumEdges()/4 {
+		t.Fatalf("one node's segment holds %d of %d edges: too coarse to tell the terms apart", touched, before.NumEdges())
+	}
+	rep, err := e.Propagate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rebuild || rep.Records == 0 {
+		t.Fatalf("report = %+v, want a delta cycle", rep)
+	}
+	want := modelDur(m.Copy.Predict(float64(touched)))
+	if whole := modelDur(m.Copy.Predict(float64(before.NumEdges()))); rep.Predicted.Merge != want || want >= whole {
+		t.Fatalf("predicted merge %v, want copy(%d touched edges) = %v below copy(%d edges) = %v",
+			rep.Predicted.Merge, touched, want, before.NumEdges(), whole)
+	}
+	if rep.MergeStats.EdgesCopied > touched {
+		t.Fatalf("merge copied %d edges, the touched segment holds %d", rep.MergeStats.EdgesCopied, touched)
 	}
 }
 

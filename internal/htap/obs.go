@@ -99,7 +99,6 @@ func (e *Engine) wireObs() {
 		{"malloc", func(s gpu.DeviceStats) int64 { return s.Mallocs }},
 		{"upload", func(s gpu.DeviceStats) int64 { return s.Uploads }},
 		{"replace", func(s gpu.DeviceStats) int64 { return s.Replaces }},
-		{"replace-streamed", func(s gpu.DeviceStats) int64 { return s.ReplacesStreamed }},
 		{"ingest", func(s gpu.DeviceStats) int64 { return s.Ingests }},
 		{"launch", func(s gpu.DeviceStats) int64 { return s.Launches }},
 	} {

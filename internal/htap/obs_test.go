@@ -174,7 +174,7 @@ func TestObsDegradedCycle(t *testing.T) {
 		Retry:   RetryPolicy{MaxAttempts: 2, Backoff: 100 * time.Microsecond, MaxBackoff: 200 * time.Microsecond},
 	})
 	runMixed(t, e, d, 200, 9)
-	for _, op := range []string{faultinject.GPUReplace, faultinject.GPUReplaceStreamed, faultinject.GPUUpload} {
+	for _, op := range []string{faultinject.GPUReplace, faultinject.GPUUpload} {
 		plan.Arm(op, 1, faultinject.Persistent)
 	}
 	if _, err := e.Propagate(); !errors.Is(err, faultinject.ErrGPUInjected) {

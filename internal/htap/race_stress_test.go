@@ -190,32 +190,34 @@ func TestEnginePropagateRaceStress(t *testing.T) {
 	}
 }
 
-// TestPropagateOverlapsTransfer checks the workers>1 static path: merged
-// node-range segments stream to the device while later shards merge, so
-// the report carries the full bus time and only the exposed tail on the
-// critical path — and the replica bytes are unaffected by the pipelining.
-func TestPropagateOverlapsTransfer(t *testing.T) {
+// TestPropagateShipsTouchedSegments checks the static path's cycle cost:
+// the merge copies only the segments the batch touches, the device is
+// charged for the rebuilt segments alone, and the replica still equals a
+// fresh build.
+func TestPropagateShipsTouchedSegments(t *testing.T) {
 	e, d := newLoadedEngine(t, Config{Replica: StaticCSR, Workers: 4})
-	runMixed(t, e, d, 300, 11)
+	runMixed(t, e, d, 5, 11)
+	whole := e.staticRep.Segmented()
+	shipped0 := e.Device().BytesToDevice()
 	rep, err := e.Propagate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Overlapped || rep.Workers != 4 {
-		t.Fatalf("report = %+v, want overlapped with 4 workers", rep)
+	if rep.Overlapped || rep.Workers != 4 {
+		t.Fatalf("report = %+v, want 4 workers and no overlap", rep)
 	}
-	if rep.TransferBusSim <= 0 {
-		t.Fatal("no bus time charged")
-	}
-	if rep.TransferSim > rep.TransferBusSim {
-		t.Fatalf("exposed transfer %v exceeds bus time %v", rep.TransferSim, rep.TransferBusSim)
+	if rep.TransferBusSim <= 0 || rep.TransferSim != rep.TransferBusSim {
+		t.Fatalf("transfer %v, bus %v: want equal and charged", rep.TransferSim, rep.TransferBusSim)
 	}
 	want := csr.Build(e.Store(), rep.TS-1)
 	if !csr.Equal(e.HostCSR(), want) {
-		t.Fatal("replica diverged after overlapped propagation")
+		t.Fatal("replica diverged after a segmented merge")
 	}
-	// The device must have been charged the whole CSR, not just the tail.
-	if e.Device().BytesToDevice() < e.HostCSR().Bytes() {
-		t.Fatal("streamed replace moved fewer bytes than the replica holds")
+	shipped := e.Device().BytesToDevice() - shipped0
+	if shipped <= 0 || shipped >= whole.Bytes()/2 {
+		t.Fatalf("cycle shipped %d bytes of a %d-byte replica", shipped, whole.Bytes())
+	}
+	if rep.MergeStats.EdgesCopied >= whole.NumEdges()/2 {
+		t.Fatalf("merge copied %d of %d edges", rep.MergeStats.EdgesCopied, whole.NumEdges())
 	}
 }

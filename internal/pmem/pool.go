@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -93,6 +94,11 @@ func CreateOn(fsys vfs.FS, path string, capacity int64, media sim.MediaModel) (*
 	if err := p.writeThrough(0, headerSize); err != nil {
 		f.Close()
 		return nil, err
+	}
+	// The new file's directory entry is durable only once its directory is.
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("pmem: sync pool dir: %w", err)
 	}
 	return p, nil
 }

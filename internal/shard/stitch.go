@@ -114,13 +114,22 @@ func (c *Cluster) RunAnalyticsTraced(kind htap.AnalyticsKind, src uint64, rq *ob
 		// Freshen anything stale before cutting (mirrors the single-shard
 		// RunAnalytics contract: analytics see updates that arrived before
 		// the request). Propagation failures degrade to the last-good
-		// replica exactly as they do per-shard.
+		// replica exactly as they do per-shard. The shards' engines share
+		// no lock, so each shard is freshened on its own goroutine.
 		sp := rq.Span("stitch.propagate", "stitch")
+		var fresh sync.WaitGroup
 		for i, d := range c.domains {
-			if included[i] && !d.Engine().Fresh() {
-				d.Engine().Propagate()
+			if included[i] {
+				fresh.Add(1)
+				go func() {
+					defer fresh.Done()
+					if !d.Engine().Fresh() {
+						d.Engine().Propagate()
+					}
+				}()
 			}
 		}
+		fresh.Wait()
 		sp.End()
 
 		sp = rq.Span("stitch.barrier", "stitch")

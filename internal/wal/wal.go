@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -282,16 +283,26 @@ func (o Options) fs() vfs.FS {
 	return vfs.OS()
 }
 
-// Open opens or creates a log at path for appending.
+// Open opens or creates a log at path for appending. Creating a log syncs
+// its directory before Open returns: until then a power loss can drop the
+// new file, and with it every commit acknowledged into it. (A checkpoint's
+// truncating temp log is published by its rename's directory sync.)
 func Open(path string, opts Options) (*Log, error) {
 	fsys := opts.fs()
 	flag := openRDWR | openCreate
 	if opts.truncate {
 		flag |= openTrunc
 	}
+	_, statErr := fsys.Stat(path)
 	f, err := fsys.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
+	}
+	if statErr != nil && !opts.truncate {
+		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: open dir sync: %w", err)
+		}
 	}
 	off, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
